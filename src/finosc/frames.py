@@ -46,8 +46,8 @@ def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
     power = int(power)
     if which == "A":
         m = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            m[i, (i - power) % d] = 1.0
+        i = np.arange(d)
+        m[i, (i - power) % d] = 1.0
         return LinearOperator(dim, m)
     if which == "B":
         return LinearOperator.diagonal(dim, np.exp(2j * np.pi * dim.indices() * power / d))
@@ -142,6 +142,14 @@ def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
     return vals.reshape(d, d)
 
 
+def _row_blocks(vectors, block: int):
+    """Yield (start, rows) with the values of ``block`` consecutive vectors
+    stacked as rows, so the frame sums run as d x d matrix products without
+    holding all vectors of a d^2-element system in one array."""
+    for start in range(0, len(vectors), block):
+        yield start, np.array([v.values for v in vectors[start : start + block]])
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteFrame:
     """Unit vectors u_i with weights kappa_i resolving the identity.
@@ -161,12 +169,11 @@ class FiniteFrame:
         if np.any(w <= 0):
             raise ValueError("frame weights must be positive")
         d = self.dim.d
-        for u in self.vectors:
-            if abs(u.norm() - 1.0) > 1e-12:
-                raise ValueError("frame vectors must have unit norm")
         resolution = np.zeros((d, d), dtype=complex)
-        for wi, u in zip(w, self.vectors):
-            resolution += wi * np.outer(u.values, u.values.conj())
+        for start, U in _row_blocks(self.vectors, d):
+            if np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-12):
+                raise ValueError("frame vectors must have unit norm")
+            resolution += (U.T * w[start : start + len(U)]) @ U.conj()
         if np.max(np.abs(resolution - np.eye(d))) > 1e-10:
             raise ValueError("weighted vectors do not resolve the identity")
         if abs(w.sum() - d) > 1e-10:
@@ -203,13 +210,14 @@ def frame_analyze(
     if not vectors:
         raise ValueError("empty vector system")
     dim = vectors[0].dim
-    norms = [v.norm() for v in vectors]
-    if any(n == 0.0 for n in norms):
-        raise ValueError("frame vectors must be non-null")
     d = dim.d
+    norms = np.empty(len(vectors))
     S = np.zeros((d, d), dtype=complex)
-    for v in vectors:
-        S += np.outer(v.values, v.values.conj())
+    for start, W in _row_blocks(vectors, d):
+        norms[start : start + len(W)] = np.linalg.norm(W, axis=1)
+        S += W.T @ W.conj()
+    if np.any(norms == 0.0):
+        raise ValueError("frame vectors must be non-null")
     dec = eigendecompose_hermitian(LinearOperator(dim, S), config)
     lower = float(dec.eigenvalues[0])
     upper = float(dec.eigenvalues[-1])
@@ -217,9 +225,8 @@ def frame_analyze(
     is_tight = (upper - lower) <= tol
     frame = None
     if is_tight and abs(upper - 1.0) <= tol:
-        frame = FiniteFrame(
-            dim,
-            tuple(v / nv for v, nv in zip(vectors, norms)),
-            np.array([nv * nv for nv in norms]),
-        )
+        units = []
+        for start, W in _row_blocks(vectors, d):
+            units.extend(GridFunction(dim, u) for u in W / norms[start : start + len(W), None])
+        frame = FiniteFrame(dim, tuple(units), norms * norms)
     return FrameDiagnostics(lower, upper, is_frame, is_tight, frame)

@@ -250,8 +250,8 @@ def inverse_fourier_transform(psi: GridFunction) -> GridFunction:
 def parity_operator(dim: GridDim) -> LinearOperator:
     """The reflection n -> -n; equals F squared."""
     m = np.zeros((dim.d, dim.d), dtype=complex)
-    for i in range(dim.d):
-        m[dim.d - 1 - i, i] = 1.0
+    i = np.arange(dim.d)
+    m[i[::-1], i] = 1.0
     return LinearOperator(dim, m)
 
 
@@ -266,38 +266,55 @@ def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic Jacobi rotations
+# Hermitian eigensolver: LAPACK or cyclic Jacobi, one output convention
 # ---------------------------------------------------------------------------
+
+_EIGEN_METHODS = ("lapack", "jacobi")
 
 
 @dataclass(frozen=True)
 class JacobiConfig:
-    """Tolerances for the cyclic Jacobi eigensolver.
+    """Settings for the Hermitian eigensolver.
 
-    Convergence is declared when the off-diagonal Frobenius mass drops below
-    ``off_tol`` times the Frobenius norm of the input.
+    ``method`` selects how the eigenpairs are computed: ``"lapack"`` (the
+    default, ``numpy.linalg.eigh``) or ``"jacobi"`` (the self-contained
+    cyclic Jacobi loop).  ``off_tol`` and ``max_sweeps`` apply to Jacobi
+    only: it converges when the off-diagonal Frobenius mass drops below
+    ``off_tol`` times the Frobenius norm of the input.  ``hermiticity_tol``
+    and ``degeneracy_gap`` apply to both methods.
     """
 
     off_tol: float = 1e-14
     max_sweeps: int = 100
     hermiticity_tol: float = 1e-10
     degeneracy_gap: float = 1e-10
+    method: str = "lapack"
+
+    def __post_init__(self):
+        if self.method not in _EIGEN_METHODS:
+            raise ValueError(f"method must be one of {_EIGEN_METHODS}, got {self.method!r}")
 
 
 DEFAULT_JACOBI = JacobiConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The Jacobi sweep cap was reached before the off-diagonal mass vanished."""
+    """The eigensolver did not converge: the Jacobi sweep cap was reached
+    before the off-diagonal mass vanished, or LAPACK reported failure."""
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending real eigenvalues with orthonormal eigenvectors."""
+    """Ascending real eigenvalues with orthonormal eigenvectors.
+
+    ``residual`` is max_k ||A v_k - lambda_k v_k|| / ||A||_F for the operator
+    A that was decomposed (NaN when not computed).
+    """
 
     dim: GridDim
     eigenvalues: np.ndarray
     eigenvectors: tuple[GridFunction, ...]
+    residual: float = float("nan")
 
     def __post_init__(self):
         object.__setattr__(
@@ -340,34 +357,14 @@ def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
     return v * (np.conj(v[i]) / mags[i])
 
 
-def eigendecompose_hermitian(
-    M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI
-) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator by cyclic Jacobi rotations.
-
-    Rotations run in lexicographic (p, q) order until the off-diagonal
-    Frobenius mass falls below ``config.off_tol`` times the input norm, with a
-    hard cap of ``config.max_sweeps`` sweeps.  Output is deterministic:
-    eigenvalues ascend (stable sort), eigenvectors within a degenerate cluster
-    (gap below ``config.degeneracy_gap``) are re-orthonormalized by modified
-    Gram-Schmidt in index order, and each eigenvector carries the phase that
-    makes its largest-magnitude entry real and positive.
-    """
-    dim = M.dim
-    d = dim.d
-    A = M.matrix
-    if np.max(np.abs(A - A.conj().T)) > config.hermiticity_tol:
-        raise ValueError("operator is not Hermitian within tolerance")
-    A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
-    A = np.array(A, dtype=complex)
+def _jacobi_eigenpairs(
+    A: np.ndarray, norm: float, config: JacobiConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi rotations in lexicographic (p, q) order, applied to ``A``
+    in place.  Returns the unsorted diagonal and the accumulated rotations
+    as columns."""
+    d = A.shape[0]
     V = np.eye(d, dtype=complex)
-
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0:
-        vals = np.zeros(d)
-        vecs = tuple(GridFunction.delta(dim, k) for k in dim.indices())
-        return SpectralDecomposition(dim, vals, vecs)
-
     threshold = config.off_tol * norm
     skip = threshold / (2.0 * d)
     converged = False
@@ -404,8 +401,47 @@ def eigendecompose_hermitian(
             f"Jacobi did not converge in {config.max_sweeps} sweeps "
             f"(off mass {_off_mass(A):.3e}, target {threshold:.3e})"
         )
+    return np.diag(A).real, V
 
-    vals = np.diag(A).real
+
+def eigendecompose_hermitian(
+    M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI
+) -> SpectralDecomposition:
+    """Diagonalize a Hermitian operator with a deterministic eigenvector convention.
+
+    The eigenpairs come from LAPACK (``numpy.linalg.eigh``) by default, or
+    from the cyclic Jacobi loop with ``config.method == "jacobi"``; a solver
+    failure raises ``ConvergenceError``.  Both methods share the output
+    convention: eigenvalues ascend (stable sort), eigenvectors within a
+    degenerate cluster (gap below ``config.degeneracy_gap``) are
+    re-orthonormalized by modified Gram-Schmidt in index order, and each
+    eigenvector carries the phase that makes its largest-magnitude entry
+    real and positive.  Non-finite or non-Hermitian input raises
+    ``ValueError``.
+    """
+    dim = M.dim
+    d = dim.d
+    A = M.matrix
+    if not np.all(np.isfinite(A)):
+        raise ValueError("operator has non-finite entries")
+    if np.max(np.abs(A - A.conj().T)) > config.hermiticity_tol:
+        raise ValueError("operator is not Hermitian within tolerance")
+    A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
+
+    norm = float(np.linalg.norm(A))
+    if norm == 0.0:
+        vals = np.zeros(d)
+        vecs = tuple(GridFunction.delta(dim, k) for k in dim.indices())
+        return SpectralDecomposition(dim, vals, vecs, residual=0.0)
+
+    if config.method == "jacobi":
+        vals, V = _jacobi_eigenpairs(A.copy(), norm, config)
+    else:
+        try:
+            vals, V = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     V = V[:, order]
@@ -422,8 +458,10 @@ def eigendecompose_hermitian(
                     V[:, a] = v / np.linalg.norm(v)
             start = k
 
-    vecs = tuple(GridFunction(dim, canonical_phase(V[:, k])) for k in range(d))
-    return SpectralDecomposition(dim, vals, vecs)
+    V = np.column_stack([canonical_phase(V[:, k]) for k in range(d)])
+    residual = float(np.max(np.linalg.norm(A @ V - V * vals, axis=0))) / norm
+    vecs = tuple(GridFunction(dim, V[:, k]) for k in range(d))
+    return SpectralDecomposition(dim, vals, vecs, residual=residual)
 
 
 def operator_exponential(

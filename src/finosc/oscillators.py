@@ -74,9 +74,9 @@ def difference_momentum_squared(dim: GridDim) -> LinearOperator:
     """The periodic second-difference operator (P^2 psi)(n) = -[psi(n+1) - 2 psi(n) + psi(n-1)]."""
     d = dim.d
     m = 2.0 * np.eye(d, dtype=complex)
-    for i in range(d):
-        m[i, (i + 1) % d] -= 1.0
-        m[i, (i - 1) % d] -= 1.0
+    i = np.arange(d)
+    m[i, (i + 1) % d] -= 1.0
+    m[i, (i - 1) % d] -= 1.0
     return LinearOperator(dim, m)
 
 

@@ -128,6 +128,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_gram_schmidt_check_reports_its_refusals(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--dim", "15")
+        assert "PASS  gram-schmidt-ground-states  (max error" in out
+        assert "skipped over condition limit: g2,g5" in out
+
+    def test_all_gram_schmidt_families_refused_is_skip(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--dim", "25")
+        assert code == 0
+        line = next(l for l in out.splitlines() if "gram-schmidt-ground-states" in l)
+        assert line.startswith("SKIP")
+        assert "max error" not in line
+
     def test_even_dim_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--dim", "4")
         assert code == 2

@@ -55,6 +55,14 @@ class TestSchwinger:
                 ).matrix
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    @pytest.mark.parametrize("power", [-8, -1, 0, 1, 2, 103, 250])
+    def test_shift_matches_loop_reference(self, d, power):
+        ref = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            ref[i, (i - power) % d] = 1.0
+        assert np.array_equal(schwinger(GridDim.from_size(d), "A", power).matrix, ref)
+
     def test_rejects_unknown_tag(self, d3):
         with pytest.raises(ValueError):
             schwinger(d3, "C")
@@ -239,6 +247,24 @@ class TestFrameAnalysis:
             for w, u in zip(frame.weights, frame.vectors)
         )
         assert total == pytest.approx(psi.norm() ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 5, 12, 27])
+    def test_frame_bounds_match_outer_product_sum(self, count):
+        dim = GridDim.from_size(5)
+        vectors = [rand_state(dim, seed) for seed in range(count)]
+        S = sum(np.outer(v.values, v.values.conj()) for v in vectors)
+        expected = np.linalg.eigvalsh(S)
+        diag = frame_analyze(vectors)
+        assert diag.lower == pytest.approx(expected[0], abs=1e-12 * expected[-1])
+        assert diag.upper == pytest.approx(expected[-1], rel=1e-12)
+
+    def test_finite_frame_checks_every_block(self, d3):
+        vectors = [GridFunction.delta(d3, k) for _ in range(3) for k in d3.indices()]
+        weights = np.array([0.5] * 3 + [0.25] * 6)
+        FiniteFrame(d3, tuple(vectors), weights)
+        vectors[-1] = 2.0 * vectors[-1]
+        with pytest.raises(ValueError, match="unit norm"):
+            FiniteFrame(d3, tuple(vectors), weights)
 
     def test_finite_frame_validates_unit_norms(self, d3):
         with pytest.raises(ValueError, match="unit norm"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finosc.grid import (
@@ -11,6 +11,7 @@ from finosc.grid import (
     GridFunction,
     JacobiConfig,
     LinearOperator,
+    SpectralDecomposition,
     canonical_phase,
     convolve,
     eigendecompose_hermitian,
@@ -22,9 +23,11 @@ from finosc.grid import (
     outer,
     parity_operator,
 )
+from finosc.oscillators import fourier_hamiltonian
 from conftest import rand_state
 
 odd_dims = st.integers(min_value=1, max_value=12).map(lambda j: GridDim(j))
+JACOBI = JacobiConfig(method="jacobi")
 
 
 class TestGridDim:
@@ -104,6 +107,13 @@ class TestFourier:
         F = fourier_operator(dim)
         F4 = F @ F @ F @ F
         assert np.max(np.abs(F4.matrix - np.eye(d))) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 15, 101])
+    def test_parity_matches_loop_reference(self, d):
+        ref = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            ref[d - 1 - i, i] = 1.0
+        assert np.array_equal(parity_operator(GridDim.from_size(d)).matrix, ref)
 
     def test_square_is_parity_operator(self, d15):
         F = fourier_operator(d15)
@@ -214,11 +224,83 @@ class TestEigendecomposition:
     def test_sweep_cap_raises(self, d15):
         M = random_hermitian(d15, 4)
         with pytest.raises(ConvergenceError):
-            eigendecompose_hermitian(M, JacobiConfig(max_sweeps=1))
+            eigendecompose_hermitian(M, JacobiConfig(method="jacobi", max_sweeps=1))
+
+    def test_lapack_failure_raises_convergence_error(self, d3, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="LAPACK"):
+            eigendecompose_hermitian(LinearOperator.diagonal(d3, [1.0, 2.0, 3.0]))
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            JacobiConfig(method="qr")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("config", [JacobiConfig(), JACOBI], ids=["lapack", "jacobi"])
+    def test_rejects_non_finite_entries(self, d3, bad, config):
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose_hermitian(LinearOperator(d3, m), config)
 
     def test_zero_matrix(self, d3):
         dec = eigendecompose_hermitian(LinearOperator(d3, np.zeros((3, 3))))
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
+        assert dec.residual == 0.0
+
+    @pytest.mark.parametrize("config", [JacobiConfig(), JACOBI], ids=["lapack", "jacobi"])
+    def test_residual_is_relative_to_the_norm(self, d7, config):
+        M = random_hermitian(d7, 3)
+        for scale in (1e-8, 1.0, 1e8):
+            dec = eigendecompose_hermitian(M * scale, config)
+            assert 0.0 < dec.residual <= 1e-12
+
+    def test_residual_defaults_to_nan(self, d3):
+        dec = SpectralDecomposition(d3, np.zeros(3), tuple(GridFunction.zero(d3) for _ in range(3)))
+        assert math.isnan(dec.residual)
+
+
+def assert_lapack_matches_jacobi(M: LinearOperator) -> tuple[SpectralDecomposition, ...]:
+    """The default LAPACK path against the Jacobi oracle: eigenvalues, the
+    projector onto each degenerate cluster, and the phase convention."""
+    lapack = eigendecompose_hermitian(M)
+    jacobi = eigendecompose_hermitian(M, JACOBI)
+    scale = M.frobenius_norm()
+    assert np.max(np.abs(lapack.eigenvalues - jacobi.eigenvalues)) <= 1e-12 * scale
+    vals = jacobi.eigenvalues
+    cuts = [0] + [k for k in range(1, len(vals)) if vals[k] - vals[k - 1] >= JACOBI.degeneracy_gap]
+    Vl, Vj = lapack.vector_matrix(), jacobi.vector_matrix()
+    for a, b in zip(cuts, cuts[1:] + [len(vals)]):
+        Pl = Vl[:, a:b] @ Vl[:, a:b].conj().T
+        Pj = Vj[:, a:b] @ Vj[:, a:b].conj().T
+        assert np.max(np.abs(Pl - Pj)) <= 1e-10
+    for dec in (lapack, jacobi):
+        for vec in dec.eigenvectors:
+            assert np.max(np.abs(canonical_phase(vec.values) - vec.values)) < 1e-15
+    return lapack, jacobi
+
+
+class TestLapackAgainstJacobi:
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(min_value=1, max_value=15).map(GridDim), seed=st.integers(0, 2**31))
+    @example(dim=GridDim(15), seed=7)
+    def test_random_hermitian(self, dim, seed):
+        for dec in assert_lapack_matches_jacobi(random_hermitian(dim, seed)):
+            assert dec.residual <= 1e-12
+
+    def test_degenerate_rank_one_update(self, d3):
+        v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+        assert_lapack_matches_jacobi(LinearOperator(d3, np.eye(3) + np.outer(v, v)))
+
+    def test_spin_x(self, d3):
+        jx = LinearOperator(d3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2))
+        assert_lapack_matches_jacobi(jx)
+
+    def test_fourier_hamiltonian_d15(self, d15):
+        assert_lapack_matches_jacobi(fourier_hamiltonian(d15))
 
 
 class TestOperatorExponential:

@@ -16,6 +16,7 @@ from finosc.oscillators import (
     deformed_fourier_hamiltonian,
     deformed_harper_hamiltonian,
     detect_revivals,
+    difference_momentum_squared,
     evolve,
     fourier_hamiltonian,
     fractional_fourier,
@@ -65,6 +66,14 @@ class TestSpectraD3:
 
 
 class TestStructure:
+    @pytest.mark.parametrize("d", [3, 5, 101])
+    def test_second_difference_matches_loop_reference(self, d):
+        ref = 2.0 * np.eye(d, dtype=complex)
+        for i in range(d):
+            ref[i, (i + 1) % d] -= 1.0
+            ref[i, (i - 1) % d] -= 1.0
+        assert np.array_equal(difference_momentum_squared(GridDim.from_size(d)).matrix, ref)
+
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_hermitian_all_kinds(self, d):
         dim = GridDim.from_size(d)
