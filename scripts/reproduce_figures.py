@@ -12,6 +12,7 @@ Usage: python scripts/reproduce_figures.py --out-dir out [--dim 15]
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 from finosc.cli import main as cli
@@ -57,14 +58,15 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     d = str(args.dim)
 
+    commands = []
     for fam in Family:
-        cli(["gaussian", "--dim", d, "--family", fam.value, "--out", str(out / f"profile_{fam.value}.csv")])
-        cli(["gaussian", "--dim", d, "--family", fam.value, "--format", "svg",
-             "--out", str(out / f"profile_{fam.value}.svg")])
+        commands.append(["gaussian", "--dim", d, "--family", fam.value, "--out", str(out / f"profile_{fam.value}.csv")])
+        commands.append(["gaussian", "--dim", d, "--family", fam.value, "--format", "svg",
+                         "--out", str(out / f"profile_{fam.value}.svg")])
     for fam in ("g1", "g2", "g4"):
-        cli(["wigner", "--dim", d, "--family", fam, "--out", str(out / f"wigner_{fam}.csv")])
-        cli(["wigner", "--dim", d, "--family", fam, "--format", "svg",
-             "--out", str(out / f"wigner_{fam}.svg")])
+        commands.append(["wigner", "--dim", d, "--family", fam, "--out", str(out / f"wigner_{fam}.csv")])
+        commands.append(["wigner", "--dim", d, "--family", fam, "--format", "svg",
+                         "--out", str(out / f"wigner_{fam}.svg")])
     for kind, extra, tag in [
         ("fourier", [], "fourier"),
         ("harper", [], "harper"),
@@ -72,11 +74,16 @@ def main() -> int:
         ("frame", ["--family", "g2"], "frame_g2"),
         ("frame", ["--family", "g4"], "frame_g4"),
     ]:
-        cli(["spectrum", "--dim", d, "--kind", kind, *extra, "--out", str(out / f"levels_{tag}.csv")])
-        cli(["spectrum", "--dim", d, "--kind", kind, *extra, "--format", "svg",
-             "--out", str(out / f"levels_{tag}.svg")])
-    cli(["revival", "--dim", d, "--kind", "kravchuk", "--samples", "401",
-         "--out", str(out / "revival_kravchuk.csv")])
+        commands.append(["spectrum", "--dim", d, "--kind", kind, *extra, "--out", str(out / f"levels_{tag}.csv")])
+        commands.append(["spectrum", "--dim", d, "--kind", kind, *extra, "--format", "svg",
+                         "--out", str(out / f"levels_{tag}.svg")])
+    commands.append(["revival", "--dim", d, "--kind", "kravchuk", "--samples", "401",
+                     "--out", str(out / "revival_kravchuk.csv")])
+    for argv in commands:
+        code = cli(argv)
+        if code != 0:
+            print(f"finosc {' '.join(argv)} exited with {code}", file=sys.stderr)
+            return 1
 
     ground_states(GridDim.from_size(args.dim), out)
     print(f"wrote figure data for d={args.dim} to {out}/")

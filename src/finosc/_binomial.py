@@ -1,15 +1,14 @@
-"""Extended binomial coefficients via log-Gamma accumulation.
+"""Binomial coefficients via log-Gamma accumulation.
 
-C(k, n) is taken to be 0 whenever n lies outside {0, ..., k}, matching the
-1/Gamma pole convention.  Going through lgamma keeps values finite for grids
-up to d ~ 201, where raw factorials overflow float64.
+Going through lgamma keeps values finite for grids up to d ~ 201, where raw
+factorials overflow float64.
 """
 
 from __future__ import annotations
 
-from math import exp, lgamma
+from math import lgamma
 
-__all__ = ["extended_binomial", "log_binomial"]
+__all__ = ["log_binomial"]
 
 
 def log_binomial(k: int, n: int) -> float:
@@ -17,10 +16,3 @@ def log_binomial(k: int, n: int) -> float:
     if not 0 <= n <= k:
         raise ValueError(f"log_binomial undefined for C({k}, {n})")
     return lgamma(k + 1) - lgamma(n + 1) - lgamma(k - n + 1)
-
-
-def extended_binomial(k: int, n: int) -> float:
-    """C(k, n) with the extended convention: 0 for n outside {0, ..., k}."""
-    if n < 0 or n > k:
-        return 0.0
-    return exp(log_binomial(k, n))

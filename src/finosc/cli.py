@@ -133,8 +133,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and x == int(x) and abs(x) < 1e16:
-        return f"{x:.17g}"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -304,7 +302,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
             status = "SKIP"
         lines.append(f"{status}  {r.name}" + (f"  ({r.detail})" if r.detail else ""))
         failed += 0 if r.passed else 1
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed at d={cfg.dim.d}")
+    skipped = sum(r.skipped for r in results)
+    summary = f"{len(results) - failed}/{len(results)} checks passed at d={cfg.dim.d}"
+    lines.append(summary + (f" ({skipped} skipped)" if skipped else ""))
     _write_text(cfg, "\n".join(lines) + "\n")
     return 0 if failed == 0 else 1
 

@@ -5,7 +5,9 @@ Five families: the Fourier-conjugated quadratic oscillator, the Harper
 finite-difference oscillator, the diagonal ladder oscillator J_z + j + 1/2,
 frame quantizations of the harmonic symbol (a^2+b^2)/2 over each coherent
 family, and spectral sums over weighted-orthonormal polynomial bases with
-half-integer levels.
+half-integer levels.  Both ladders are built by construction: the Harper
+eigenbasis is labelled by Fourier class and energy rank, and the weighted
+bases are Lanczos vectors of diag(n).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .grid import (
 
 __all__ = [
     "DegenerateSpectrumError",
-    "AlternationCountError",
     "HarperBasis",
     "GramSchmidtOscillator",
     "RevivalProgression",
@@ -57,12 +58,15 @@ __all__ = [
 ]
 
 
+# certificate of the Harper labelling: max |F h_n - (-i)^n h_n|
+_FOURIER_TOL = 1e-8
+# Lanczos on diag(n) refuses once beta_k / j falls below this (Krylov breakdown)
+_BREAKDOWN = 1e-10
+
+
 class DegenerateSpectrumError(RuntimeError):
-    """Two eigenvalues closer than the degeneracy gap where simple spectrum is required."""
-
-
-class AlternationCountError(RuntimeError):
-    """Sign-alternation counts did not come out as a permutation of 0..2j."""
+    """Eigenvalues too close to separate where a simple spectrum is required:
+    closer than the degeneracy gap, or mixing two Fourier classes."""
 
 
 def position_squared(dim: GridDim) -> LinearOperator:
@@ -191,13 +195,13 @@ def sign_alternations(values: np.ndarray, zero_tol: float = 1e-9) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HarperBasis:
-    """Harper eigenfunctions h_0..h_{2j} ordered by sign-alternation count.
+    """Harper eigenfunctions h_0..h_{2j} labelled by Fourier class and energy.
 
     ``fourier_eigenvalues[n]`` is (-i)^n, verified against F h_n at build
-    time.  ``energies`` are the corresponding Harper eigenvalues in the same
-    (alternation) order; ``energy_order_consistent`` records whether that
-    order coincides with ascending energy, which can fail in the upper
-    spectrum and is surfaced as a diagnostic rather than an error.
+    time.  ``energies`` are the corresponding Harper eigenvalues in label
+    order; ``energy_order_consistent`` records whether that order coincides
+    with ascending energy, which fails as soon as two Fourier classes
+    interleave in the upper spectrum and is surfaced as a diagnostic.
     """
 
     dim: GridDim
@@ -208,13 +212,16 @@ class HarperBasis:
 
 
 @lru_cache(maxsize=None)
-def harper_basis(
-    dim: GridDim,
-    config: JacobiConfig = DEFAULT_JACOBI,
-    zero_tol: float = 1e-9,
-    fourier_tol: float = 1e-8,
-) -> HarperBasis:
-    """Diagonalize the Harper oscillator and order eigenvectors by alternations."""
+def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperBasis:
+    """Diagonalize the Harper oscillator and label eigenvectors by Fourier class.
+
+    H commutes with F, so each eigenvector of a simple spectrum lies in one
+    eigenspace of F, with <v, F v> = (-i)^r for a class r in {0, 1, 2, 3}.
+    The k-th lowest energy in class r gets label n = 4k + r (Candan, Kutay &
+    Ozaktas, IEEE TSP 48, 2000).  The residual F h_n = (-i)^n h_n certifies
+    the labelling; it can only fail when two eigenvalues of different classes
+    are too close to be separated, so it raises ``DegenerateSpectrumError``.
+    """
     dec = eigendecompose_hermitian(harper_hamiltonian(dim), config)
     gaps = np.diff(dec.eigenvalues)
     if np.any(gaps < config.degeneracy_gap):
@@ -223,29 +230,22 @@ def harper_basis(
             f"Harper eigenvalues {k} and {k + 1} differ by {gaps[k]:.3e} "
             f"(< {config.degeneracy_gap:.1e}) at {dim}"
         )
-    counted = []
-    for ev, vec in zip(dec.eigenvalues, dec.eigenvectors):
-        imag = float(np.max(np.abs(vec.values.imag)))
-        if imag > 1e-8:
-            raise AlternationCountError(f"Harper eigenvector has imaginary residue {imag:.3e}")
-        counted.append((sign_alternations(vec.values.real, zero_tol), float(ev), vec))
-    counts = sorted(c for c, _, _ in counted)
-    if counts != list(range(dim.d)):
-        raise AlternationCountError(
-            f"alternation counts {counts} are not a permutation of 0..{dim.d - 1}; "
-            "an entry near the zero threshold makes the count ambiguous"
-        )
-    counted.sort(key=lambda t: t[0])
-    functions = tuple(vec for _, _, vec in counted)
-    energies = np.array([ev for _, ev, _ in counted])
-    phases = np.array([(-1j) ** n for n in range(dim.d)])
     F = fourier_operator(dim)
-    for n, h in enumerate(functions):
-        resid = np.max(np.abs(F.matrix @ h.values - phases[n] * h.values))
-        if resid > fourier_tol:
-            raise AlternationCountError(
-                f"F h_{n} deviates from (-i)^{n} h_{n} by {resid:.3e} (> {fourier_tol:.1e})"
-            )
+    V = dec.vector_matrix()
+    FV = F.matrix @ V
+    classes = np.rint(-np.angle(np.sum(V.conj() * FV, axis=0)) / (np.pi / 2)).astype(int) % 4
+    rank = np.array([np.count_nonzero(classes[:i] == r) for i, r in enumerate(classes)])
+    order = np.argsort(4 * rank + classes)
+    phases = np.array([(-1j) ** n for n in range(dim.d)])
+    resid = np.max(np.abs(FV[:, order] - V[:, order] * phases), axis=0)
+    if np.any(resid > _FOURIER_TOL):
+        n = int(np.argmax(resid))
+        raise DegenerateSpectrumError(
+            f"F h_{n} deviates from (-i)^{n} h_{n} by {resid[n]:.3e} (> {_FOURIER_TOL:.1e}): "
+            f"Fourier classes are not separated at {dim}"
+        )
+    functions = tuple(dec.eigenvectors[i] for i in order)
+    energies = dec.eigenvalues[order]
     consistent = bool(np.all(np.diff(energies) > 0))
     return HarperBasis(dim, functions, energies, phases, consistent)
 
@@ -274,33 +274,30 @@ class GramSchmidtOscillator:
     """Orthonormal ladder functions phi_m and the spectral-sum Hamiltonian.
 
     ``operator`` = sum_m (j + m + 1/2) |phi_m><phi_m| has eigenvalues exactly
-    1/2, 3/2, ..., 2j + 1/2 and ground state phi_{-j}.
+    1/2, 3/2, ..., 2j + 1/2 and ground state phi_{-j}.  ``min_beta`` is the
+    smallest Lanczos coefficient beta_k / j, the margin to Krylov breakdown.
     """
 
     dim: GridDim
     family: Family
     functions: tuple[GridFunction, ...]
     operator: LinearOperator
-    gram_condition: float
+    min_beta: float
 
 
 def orthonormal_functions_for_weight(
-    dim: GridDim,
-    weight: np.ndarray,
-    multiplier: np.ndarray,
-    condition_limit: float = 1e12,
-    config: JacobiConfig = DEFAULT_JACOBI,
+    dim: GridDim, weight: np.ndarray, multiplier: np.ndarray
 ) -> tuple[list[np.ndarray], float]:
     """Orthonormalize the polynomial ladder 1, X, ..., X^{2j} under
-    <f, g> = sum_n weight(n) f(n) g(n) and return multiplier * Phi_m.
+    <f, g> = sum_n weight(n) f(n) g(n) and return (multiplier * Phi_m, min_beta).
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; the ladder is
-    evaluated in a Chebyshev basis of the scaled coordinate n/j, which spans
-    the same nested polynomial spaces degree by degree but keeps the Gram
-    matrix condition far below that of raw monomials.  The condition number
-    of that Gram matrix is monitored and the run aborts above
-    ``condition_limit`` to bound silent precision loss.  Output signs follow
-    positive leading coefficients.
+    Lanczos (Stieltjes) on diag(n) from q_0 = sqrt(weight)/||sqrt(weight)||,
+    with full reorthogonalization (two classical Gram-Schmidt passes), gives
+    q_k = sqrt(weight) Phi_k (Gragg & Harrod, Numer. Math. 44, 1984).  Each
+    beta_k > 0, so every Phi_k has a positive leading coefficient.  The run
+    refuses with ``ValueError`` when beta_k / j falls below 1e-10: the Krylov
+    space has collapsed under the weight and the ladder would be noise.
+    ``min_beta`` is min_k beta_k / j.
     """
     w = np.asarray(weight, dtype=float)
     mult = np.asarray(multiplier, dtype=float)
@@ -312,34 +309,25 @@ def orthonormal_functions_for_weight(
     zeros = np.flatnonzero(w == 0.0)
     if zeros.size:
         labels = [int(z) - j for z in zeros]
-        raise ValueError(f"weight vanishes at n = {labels}; moment matrix is singular")
+        raise ValueError(f"weight vanishes at n = {labels}; the inner product is degenerate")
 
-    x = dim.indices() / j
-    basis = np.polynomial.chebyshev.chebvander(x, d - 1).T  # row k: T_k(n/j), degree k
-
-    gram = basis @ (w[:, None] * basis.T)
-    gdec = eigendecompose_hermitian(LinearOperator(dim, gram.astype(complex)), config)
-    lo, hi = float(gdec.eigenvalues[0]), float(gdec.eigenvalues[-1])
-    if lo <= 0.0:
-        raise ValueError("moment matrix is numerically singular")
-    condition = hi / lo
-    if condition > condition_limit:
-        raise ValueError(
-            f"moment matrix condition {condition:.3e} exceeds {condition_limit:.1e}; "
-            "orthonormalization would lose precision silently"
-        )
-
-    ortho: list[np.ndarray] = []
-    for k in range(d):
-        v = basis[k].astype(float).copy()
-        for _ in range(2):  # MGS plus one re-orthogonalization pass
-            for p in ortho:
-                v -= np.sum(w * p * v) * p
-        nv = math.sqrt(np.sum(w * v * v))
-        if nv == 0.0:
-            raise ValueError(f"degree-{k} ladder vector collapsed under the weight")
-        ortho.append(v / nv)
-    return [mult * p for p in ortho], condition
+    x = dim.indices().astype(float)
+    root = np.sqrt(w)
+    Q = np.empty((d, d))
+    Q[:, 0] = root / np.linalg.norm(root)
+    betas = np.empty(d - 1)
+    for k in range(1, d):
+        v = x * Q[:, k - 1]
+        for _ in range(2):
+            v -= Q[:, :k] @ (Q[:, :k].T @ v)
+        betas[k - 1] = np.linalg.norm(v)
+        if betas[k - 1] < _BREAKDOWN * j:
+            raise ValueError(
+                f"Lanczos breakdown at step {k}: beta_k/j = {betas[k - 1] / j:.3e} "
+                f"(< {_BREAKDOWN:.0e})"
+            )
+        Q[:, k] = v / betas[k - 1]
+    return [mult / root * q for q in Q.T], float(betas.min()) / j
 
 
 @lru_cache(maxsize=None)
@@ -348,17 +336,15 @@ def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOs
     orthonormal under the weight G_i^2, and H = sum (j+m+1/2) |phi_m><phi_m|."""
     fam = Family(f"g{family}") if isinstance(family, int) else family
     G = normalized_gaussian(dim, fam).values.real
-    funcs, condition = orthonormal_functions_for_weight(dim, G * G, G)
-    j = dim.j
-    H = np.zeros((dim.d, dim.d))
-    for k, f in enumerate(funcs):
-        H += (k + 0.5) * np.outer(f, f)  # level j + m + 1/2 with m = k - j
+    funcs, min_beta = orthonormal_functions_for_weight(dim, G * G, G)
+    Phi = np.column_stack(funcs)
+    H = (Phi * (np.arange(dim.d) + 0.5)) @ Phi.T  # level j + m + 1/2 on column m + j
     return GramSchmidtOscillator(
         dim,
         fam,
         tuple(GridFunction(dim, f) for f in funcs),
         LinearOperator(dim, H.astype(complex)),
-        condition,
+        min_beta,
     )
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from finosc import oscillators
 from finosc.cli import main
 
 
@@ -127,18 +128,40 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--dim", "15")
         assert code == 0
         assert "FAIL" not in out
+        assert out.splitlines()[-1] == "47/47 checks passed at d=15"
 
     def test_gram_schmidt_check_reports_its_refusals(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "--dim", "15")
-        assert "PASS  gram-schmidt-ground-states  (max error" in out
-        assert "skipped over condition limit: g2,g5" in out
+        _, out, _ = run_cli(capsys, "verify", "--dim", "25")
+        line = next(l for l in out.splitlines() if "gram-schmidt-ground-states" in l)
+        assert line.startswith("PASS  gram-schmidt-ground-states  (max error")
+        assert "refused g5: Lanczos breakdown at step" in line
+        assert "condition" not in line
 
-    def test_all_gram_schmidt_families_refused_is_skip(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--dim", "25")
+    def test_all_gram_schmidt_families_refused_is_skip(self, capsys, monkeypatch):
+        def refuse(dim, family):
+            raise ValueError("Lanczos breakdown at step 3: beta_k/j = 1.000e-12 (< 1e-10)")
+
+        monkeypatch.setattr(oscillators, "gram_schmidt_oscillator", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--dim", "7")
         assert code == 0
         line = next(l for l in out.splitlines() if "gram-schmidt-ground-states" in l)
         assert line.startswith("SKIP")
         assert "max error" not in line
+        assert "refused g1: Lanczos breakdown" in line
+        assert out.splitlines()[-1] == "47/47 checks passed at d=7 (1 skipped)"
+
+    def test_harper_failure_reports_dependent_checks_as_skipped(self, capsys, monkeypatch):
+        def fail(dim):
+            raise oscillators.DegenerateSpectrumError("Fourier classes are not separated")
+
+        monkeypatch.setattr(oscillators, "harper_basis", fail)
+        code, out, _ = run_cli(capsys, "verify", "--dim", "7")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL  harper-basis  (Fourier classes are not separated)" in lines
+        assert "SKIP  fractional-fourier  (skipped: harper-basis failed)" in lines
+        assert "SKIP  deformed-reduction  (skipped: harper-basis failed)" in lines
+        assert lines[-1] == "46/47 checks passed at d=7 (2 skipped)"
 
     def test_even_dim_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--dim", "4")
@@ -209,6 +232,17 @@ class TestFrameCheckCommand:
         assert record["tight"] == "1"
         assert float(record["weight_sum"]) == pytest.approx(3.0, abs=1e-10)
         assert float(record["spread"]) < 1e-10
+
+    def test_untight_frame_prints_nan_weight_sum(self, capsys):
+        code, out, err = run_cli(
+            capsys, "frame-check", "--dim", "5", "--family", "g4", "--tol", "1e-18"
+        )
+        assert code == 1
+        assert err == ""
+        header, rows = parse_csv(out)
+        record = dict(zip(header, rows[0]))
+        assert record["weight_sum"] == "nan"
+        assert record["tight"] == "0"
 
 
 class TestOutputHandling:

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finosc import kravchuk
+from finosc.checks import _check_kravchuk
 from finosc.grid import GridDim
 from finosc.kravchuk import (
+    KravchukTable,
     generalized_kravchuk_transform,
     kravchuk_function,
     kravchuk_function_hypergeometric,
@@ -52,6 +55,23 @@ class TestPolynomials:
                 ) / 4.0**j
                 target = scale if li == mi else 0.0
                 assert abs(s - target) / scale <= 1e-9
+
+    @pytest.mark.parametrize("d", [45, 61])
+    def test_orthogonality_check_exact_where_floats_fail(self, d):
+        # the float sum misses 1e-9 from d = 45; the table passes 2^53 at d = 61
+        result = _check_kravchuk(GridDim.from_size(d))[0]
+        assert result.name == "kravchuk-orthogonality"
+        assert result.passed, result.detail
+
+    def test_orthogonality_check_catches_a_wrong_table_entry(self, d7, monkeypatch):
+        good = kravchuk_table(d7)
+        poly = good.poly.copy()
+        poly[2, 3] += 1.0
+        wrong = KravchukTable(d7, poly, good.func)
+        monkeypatch.setattr(kravchuk, "kravchuk_table", lambda dim: wrong)
+        result = _check_kravchuk(d7)[0]
+        assert not result.passed
+        assert result.detail == "exact: 0 Gram and 1 table entries wrong"
 
 
 class TestFunctions:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finosc import oscillators
 from finosc.gaussians import Family, gaussian, normalized_gaussian
 from finosc.grid import (
     GridDim,
@@ -13,6 +14,7 @@ from finosc.grid import (
 )
 from finosc.kravchuk import kravchuk_table, su2_generators
 from finosc.oscillators import (
+    DegenerateSpectrumError,
     deformed_fourier_hamiltonian,
     deformed_harper_hamiltonian,
     detect_revivals,
@@ -139,10 +141,35 @@ class TestSignAlternations:
 
 
 class TestHarperBasis:
-    def test_counts_are_a_permutation(self, d15):
-        basis = harper_basis(d15)
-        counts = [sign_alternations(h.values.real) for h in basis.functions]
-        assert counts == list(range(d15.d))
+    def test_counts_are_a_permutation(self):
+        # the Fourier-class labels coincide with the alternation counts
+        # wherever the counts form a permutation
+        for d in range(3, 39, 2):
+            basis = harper_basis(GridDim.from_size(d))
+            counts = [sign_alternations(h.values.real) for h in basis.functions]
+            assert counts == list(range(d)), d
+
+    def test_unseparated_classes_raise(self, d7, monkeypatch):
+        # with F replaced by the identity every vector falls in class 0, so
+        # the residual certificate must refuse the labelling
+        H = harper_hamiltonian(d7)
+        monkeypatch.setattr(oscillators, "harper_hamiltonian", lambda dim: H)
+        monkeypatch.setattr(oscillators, "fourier_operator", LinearOperator.identity)
+        with pytest.raises(DegenerateSpectrumError, match="Fourier classes are not separated"):
+            harper_basis.__wrapped__(d7)
+
+    @pytest.mark.parametrize("d", [39, 51, 101, 201])
+    def test_fourier_class_labels_beyond_alternation_range(self, d):
+        dim = GridDim.from_size(d)
+        F = fourier_operator(dim).matrix
+        H = harper_hamiltonian(dim).matrix
+        basis = harper_basis(dim)
+        V = np.column_stack([h.values for h in basis.functions])
+        assert np.max(np.abs(F @ V - V * (-1j) ** np.arange(d))) < 1e-8
+        assert np.max(np.abs(H @ V - V * basis.energies)) < 1e-10
+        assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-10
+        for r in range(4):
+            assert np.all(np.diff(basis.energies[r::4]) > 0)
 
     def test_fourier_eigenvalue_tags(self, d15):
         F = fourier_operator(d15)
@@ -193,11 +220,22 @@ class TestFractionalFourier:
         U = fractional_fourier(d15, a)
         assert op_err(U @ U.adjoint(), LinearOperator.identity(d15)) < 1e-12
 
+    @pytest.mark.parametrize("d", [39, 51, 101, 201])
+    def test_large_dimensions(self, d):
+        dim = GridDim.from_size(d)
+        F = fourier_operator(dim)
+        half = fractional_fourier(dim, 0.5)
+        assert op_err(fractional_fourier(dim, 1.0), F) < 1e-8
+        assert op_err(half @ half, F) < 1e-8
+        assert op_err(half @ half.adjoint(), LinearOperator.identity(dim)) < 1e-12
+
 
 class TestDeformed:
-    def test_reduce_at_unit_exponent(self, d15):
-        assert op_err(deformed_fourier_hamiltonian(d15, 1.0), fourier_hamiltonian(d15)) < 1e-8
-        assert op_err(deformed_harper_hamiltonian(d15, 1.0), harper_hamiltonian(d15)) < 1e-8
+    def test_reduce_at_unit_exponent(self):
+        for d in (15, 39, 51, 101, 201):
+            dim = GridDim.from_size(d)
+            assert op_err(deformed_fourier_hamiltonian(dim, 1.0), fourier_hamiltonian(dim)) < 1e-8
+            assert op_err(deformed_harper_hamiltonian(dim, 1.0), harper_hamiltonian(dim)) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5, 2.7])
     def test_exponent_range_enforced(self, d7, alpha):
@@ -234,14 +272,38 @@ class TestGramSchmidt:
         with pytest.raises(ValueError, match="vanishes"):
             orthonormal_functions_for_weight(d3, weight, np.sqrt(weight))
 
-    def test_condition_limit_enforced(self, d15):
-        # the cosine-power weight underflows at the grid edges by d = 15
-        with pytest.raises(ValueError):
-            gram_schmidt_oscillator(d15, Family.G5)
+    def test_lanczos_breakdown_refused(self):
+        # the cosine-power weight G5^2 collapses the Krylov space from d = 25
+        with pytest.raises(ValueError, match=r"Lanczos breakdown at step \d+: beta_k/j = "):
+            gram_schmidt_oscillator(GridDim.from_size(31), Family.G5)
 
-    def test_condition_number_reported(self, d7):
+    def test_min_beta_reported(self, d7):
         osc = gram_schmidt_oscillator(d7, Family.G1)
-        assert 1.0 <= osc.gram_condition < 1e12
+        Q = np.column_stack([f.values.real for f in osc.functions])
+        beta = np.diag(Q.T @ np.diag(d7.indices().astype(float)) @ Q, 1)
+        assert osc.min_beta == pytest.approx(np.min(np.abs(beta)) / d7.j, rel=1e-12)
+        assert 1e-10 <= osc.min_beta < 1.0
+
+    @pytest.mark.parametrize("d", [25, 51, 101, 201])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_large_dimensions(self, d, i):
+        dim = GridDim.from_size(d)
+        osc = gram_schmidt_oscillator(dim, i)
+        G = normalized_gaussian(dim, Family(f"g{i}")).values
+        assert np.max(np.abs(osc.operator.matrix @ G - 0.5 * G)) < 1e-10
+        got = eigendecompose_hermitian(osc.operator).eigenvalues
+        assert np.max(np.abs(got - (np.arange(d) + 0.5))) < 1e-10
+        # Lanczos vectors tridiagonalize diag(n)
+        Q = np.column_stack([f.values.real for f in osc.functions])
+        T = Q.T @ np.diag(dim.indices().astype(float)) @ Q
+        assert np.max(np.abs(np.triu(T, 2))) < 1e-13 * dim.j
+
+    def test_binomial_weight_recovers_kravchuk_d101(self):
+        dim = GridDim.from_size(101)
+        table = kravchuk_table(dim)
+        funcs = kravchuk_functions_via_orthonormalization(dim)
+        err = max(np.max(np.abs(f.values.real - table.func[mi])) for mi, f in enumerate(funcs))
+        assert err < 1e-12
 
 
 class TestEvolution:

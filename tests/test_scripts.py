@@ -1,0 +1,37 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_figures_d7(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--dim", "7", "--out-dir", str(tmp_path)])
+    assert load("reproduce_figures").main() == 0
+    assert (tmp_path / "revival_kravchuk.csv").exists()
+    assert (tmp_path / "ground_frame_g4.csv").read_text().count("\n") == 8
+    assert len(list(tmp_path.iterdir())) == 33
+
+
+def test_reproduce_figures_stops_at_first_failure(tmp_path, monkeypatch, capsys):
+    module = load("reproduce_figures")
+    calls = []
+    monkeypatch.setattr(module, "cli", lambda argv: calls.append(argv) or 1)
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--dim", "7", "--out-dir", str(tmp_path)])
+    assert module.main() == 1
+    assert len(calls) == 1
+    assert "exited with 1" in capsys.readouterr().err
+
+
+def test_revival_scan_d7(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["revival_scan.py", "--max-dim", "7"])
+    assert load("revival_scan").main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(r.split()[0]) for r in rows] == [3, 5, 7]
