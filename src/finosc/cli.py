@@ -138,6 +138,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _index_pairs(dim: GridDim) -> tuple[list[int], list[int]]:
+    """Row and column index of every entry of a d x d array, in row-major order."""
+    ns = dim.indices()
+    return np.repeat(ns, dim.d).tolist(), np.tile(ns, dim.d).tolist()
+
+
 def _write_csv(cfg: RunConfig, header: list[str], rows) -> None:
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
@@ -266,13 +272,8 @@ def _cmd_wigner(cfg: RunConfig) -> int:
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_heatmap(W.values))
         return 0
-    ns = cfg.dim.indices()
-    rows = [
-        (int(n), int(m), W.value(int(n), int(m)))
-        for n in ns
-        for m in ns
-    ]
-    _write_csv(cfg, ["n", "m", "w"], rows)
+    n, m = _index_pairs(cfg.dim)
+    _write_csv(cfg, ["n", "m", "w"], zip(n, m, W.values.ravel().tolist()))
     return 0
 
 
@@ -337,12 +338,8 @@ def _cmd_revival(cfg: RunConfig) -> int:
 
 def _cmd_kravchuk_table(cfg: RunConfig) -> int:
     table = kravchuk.kravchuk_table(cfg.dim)
-    ns = cfg.dim.indices()
-    rows = [
-        (int(m), int(n), table.polynomial(int(m), int(n)), table.function(int(m), int(n)))
-        for m in ns
-        for n in ns
-    ]
+    m, n = _index_pairs(cfg.dim)
+    rows = zip(m, n, table.poly.ravel().tolist(), table.func.ravel().tolist())
     _write_csv(cfg, ["m", "n", "poly", "func"], rows)
     return 0
 

@@ -1,11 +1,15 @@
 """Kravchuk polynomials and functions, the Kravchuk transform and the su(2)
 generator calculus.
 
-K_m(n) is the coefficient of X^{j+m} in (1-X)^{j+n} (1+X)^{j-n}, computed by
-the explicit alternating binomial sum.  The binomials are exact integers
-(math.comb): the alternating sum cancels from magnitude ~4^j down to O(1),
-so floating-point binomials lose ~j bits while integer arithmetic keeps the
-sum exact until the final float conversion.  The weighted companions
+K_m(n) is the coefficient of X^{j+m} in (1-X)^{j+n} (1+X)^{j-n}.  The table
+of all K_m(n) is built by a column recurrence by exact polynomial division:
+column n = -j holds the binomials C(2j, k), and column n+1 follows from
+column n by multiplying by (1-X) and dividing synthetically by (1+X), one
+O(d) pass in Python integers whose division leaves no remainder.  The scalar
+route, and the test oracle, is the explicit alternating binomial sum.  Both
+stay in exact integers until the final float conversion: the alternating sum
+cancels from magnitude ~4^j down to O(1), so floating-point binomials would
+lose ~j bits.  The weighted companions
 curly-K_m(n) = 2^{-j} sqrt(C(2j,j+n)/C(2j,j+m)) K_m(n) form an orthonormal
 basis diagonalizing J_x with integer eigenvalues.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -71,20 +75,23 @@ def kravchuk_function_hypergeometric(dim: GridDim, m: int, n: int) -> float:
     """Same value through the terminating 2F1(-j-m, -j-n; -2j | 2) sum.
 
     Kept as an independent route for testing the symmetry in (m, n); the
-    series terminates at min(j+m, j+n) before the lower Pochhammer vanishes,
-    and the rational terms are accumulated exactly.
+    series terminates at min(j+m, j+n) before the lower Pochhammer vanishes.
+    Its terms are accumulated exactly as the integers
+    (2j)! * term_k = (-2)^k C(j+m,k) C(j+n,k) k! (2j-k)!, each the previous
+    one times the Pochhammer ratio (an exact integer division), and the sum
+    is divided by (2j)! once.
     """
     j = dim.j
     m = _check_index(dim, m, "m")
     n = _check_index(dim, n, "n")
     a, b, c = -(j + m), -(j + n), -2 * j
-    hyp = Fraction(1)
-    term = Fraction(1)
+    scale = factorial(2 * j)
+    hyp = term = scale
     for k in range(min(j + m, j + n)):
-        term *= Fraction((a + k) * (b + k) * 2, (c + k) * (k + 1))
+        term = term * (a + k) * (b + k) * 2 // ((c + k) * (k + 1))
         hyp += term
-    weight = Fraction(comb(2 * j, j + m) * comb(2 * j, j + n), 4**j)
-    return sqrt(float(weight)) * float(hyp)
+    weight = comb(2 * j, j + m) * comb(2 * j, j + n) / 4**j
+    return sqrt(weight) * (hyp / scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,13 +117,32 @@ class KravchukTable:
 
 @lru_cache(maxsize=None)
 def kravchuk_table(dim: GridDim) -> KravchukTable:
+    """All K_m(n) and curly-K_m(n), by column recurrence by exact polynomial
+    division; the alternating sum is the scalar route and the test oracle.
+
+    Column n holds the coefficients of (1-X)^{j+n} (1+X)^{j-n}, kept as
+    Python integers one column at a time.  Every entry equals the scalar
+    ``kravchuk_polynomial``/``kravchuk_function`` value bit for bit: both
+    round the same exact integers and correctly rounded ratios.
+    """
     j, d = dim.j, dim.d
+    binom = [comb(2 * j, k) for k in range(d)]
+    denom = [b * 4**j for b in binom]
     poly = np.empty((d, d))
     func = np.empty((d, d))
-    for mi, m in enumerate(dim.indices()):
-        for ni, n in enumerate(dim.indices()):
-            poly[mi, ni] = kravchuk_polynomial(dim, m, n)
-            func[mi, ni] = kravchuk_function(dim, m, n)
+    col = binom
+    for ni in range(d):
+        if ni:
+            # times (1-X), divided by (1+X): q_k = c_k - c_{k-1} - q_{k-1}
+            prev = q = 0
+            nxt = []
+            for c in col:
+                q = c - prev - q
+                prev = c
+                nxt.append(q)
+            col = nxt
+        poly[:, ni] = [float(c) for c in col]
+        func[:, ni] = np.sqrt([binom[ni] / den for den in denom]) * poly[:, ni]
     poly.setflags(write=False)
     func.setflags(write=False)
     return KravchukTable(dim, poly, func)

@@ -6,6 +6,10 @@ import pytest
 
 from finosc import oscillators
 from finosc.cli import main
+from finosc.gaussians import Family, normalized_gaussian
+from finosc.grid import GridDim, GridFunction
+from finosc.kravchuk import kravchuk_table
+from finosc.wigner import wigner
 
 
 def run_cli(capsys, *argv):
@@ -17,6 +21,16 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def per_entry_csv(header, rows):
+    """The CSV text of rows built one accessor call per entry."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([str(x) if isinstance(x, int) else f"{x:.17g}" for x in row])
+    return buf.getvalue()
 
 
 class TestGaussianCommand:
@@ -79,6 +93,21 @@ class TestWignerCommand:
     def test_requires_family_or_state(self, capsys):
         code, _, _ = run_cli(capsys, "wigner", "--dim", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("d", [7, 31])
+    @pytest.mark.parametrize("state", [("--family", "g1", "--kappa", "0.7"), ("--state", "delta0")])
+    def test_rows_match_per_entry_values(self, capsys, d, state):
+        dim = GridDim.from_size(d)
+        if state[0] == "--family":
+            psi = normalized_gaussian(dim, Family.G1, 0.7)
+        else:
+            psi = GridFunction.delta(dim, 0)
+        W = wigner(psi)
+        ns = range(-dim.j, dim.j + 1)
+        expected = per_entry_csv(["n", "m", "w"], [(n, m, W.value(n, m)) for n in ns for m in ns])
+        code, out, _ = run_cli(capsys, "wigner", "--dim", str(d), *state)
+        assert code == 0
+        assert out == expected
 
 
 class TestSpectrumCommand:
@@ -221,6 +250,16 @@ class TestKravchukTableCommand:
         assert table[(-1, 0)] == (1.0, pytest.approx(1 / math.sqrt(2), abs=1e-15))
         assert table[(0, -1)][0] == 2.0
         assert table[(1, 0)][1] == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
+
+    @pytest.mark.parametrize("d", [7, 31])
+    def test_rows_match_per_entry_values(self, capsys, d):
+        dim = GridDim.from_size(d)
+        t = kravchuk_table(dim)
+        ns = range(-dim.j, dim.j + 1)
+        rows = [(m, n, t.polynomial(m, n), t.function(m, n)) for m in ns for n in ns]
+        code, out, _ = run_cli(capsys, "kravchuk-table", "--dim", str(d))
+        assert code == 0
+        assert out == per_entry_csv(["m", "n", "poly", "func"], rows)
 
 
 class TestFrameCheckCommand:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -56,9 +57,10 @@ class TestPolynomials:
                 target = scale if li == mi else 0.0
                 assert abs(s - target) / scale <= 1e-9
 
-    @pytest.mark.parametrize("d", [45, 61])
+    @pytest.mark.parametrize("d", [45, 61, 101])
     def test_orthogonality_check_exact_where_floats_fail(self, d):
-        # the float sum misses 1e-9 from d = 45; the table passes 2^53 at d = 61
+        # the float sum misses 1e-9 from d = 45; the table passes 2^53 at d = 61;
+        # the check's per-entry alternating sum is independent of the table
         result = _check_kravchuk(GridDim.from_size(d))[0]
         assert result.name == "kravchuk-orthogonality"
         assert result.passed, result.detail
@@ -72,6 +74,23 @@ class TestPolynomials:
         result = _check_kravchuk(d7)[0]
         assert not result.passed
         assert result.detail == "exact: 0 Gram and 1 table entries wrong"
+
+
+class TestTable:
+    @pytest.mark.parametrize("d", [*range(3, 62, 2), 201])
+    def test_equals_per_entry_values(self, d):
+        dim = GridDim.from_size(d)
+        t = kravchuk_table.__wrapped__(dim)
+        ns = dim.indices().tolist()
+        poly = np.array([[kravchuk_polynomial(dim, m, n) for n in ns] for m in ns])
+        func = np.array([[kravchuk_function(dim, m, n) for n in ns] for m in ns])
+        assert np.array_equal(t.poly, poly)
+        assert np.array_equal(t.func, func)
+
+    def test_read_only_and_cached(self, d7):
+        t = kravchuk_table(d7)
+        assert kravchuk_table(GridDim.from_size(7)) is t
+        assert not t.poly.flags.writeable and not t.func.flags.writeable
 
 
 class TestFunctions:
@@ -123,6 +142,24 @@ class TestFunctions:
             for n in dim.indices():
                 hyp = kravchuk_function_hypergeometric(dim, m, n)
                 assert abs(hyp - t.function(m, n)) < 1e-12
+
+    @pytest.mark.parametrize("d", [15, 37])
+    def test_hypergeometric_route_equals_rational_series(self, d):
+        # the former evaluation, in Fraction arithmetic, kept as the reference
+        def rational(dim, m, n):
+            j = dim.j
+            a, b, c = -(j + m), -(j + n), -2 * j
+            hyp = term = Fraction(1)
+            for k in range(min(j + m, j + n)):
+                term *= Fraction((a + k) * (b + k) * 2, (c + k) * (k + 1))
+                hyp += term
+            weight = Fraction(comb(2 * j, j + m) * comb(2 * j, j + n), 4**j)
+            return math.sqrt(float(weight)) * float(hyp)
+
+        dim = GridDim.from_size(d)
+        for m in dim.indices().tolist():
+            for n in dim.indices().tolist():
+                assert kravchuk_function_hypergeometric(dim, m, n) == rational(dim, m, n)
 
 
 class TestTransform:
