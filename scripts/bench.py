@@ -12,12 +12,12 @@ cleared first:
 Each (tree, cell, d) runs in a fresh worker process that imports finosc from
 that tree, so each records its own resident high-water mark (VmHWM). The
 trees take turns going first from one dimension to the next. The JSON output
-holds the median and every run's wall time, VmHWM and the machine facts. A
-worker still running at the time limit is stopped; its cell keeps the runs
-it finished and is marked ``timed_out``.
+holds the median and every run's wall time, VmHWM and the machine facts. Each
+cell runs REPEAT times; a worker still running after TIMEOUT_S seconds is
+stopped, and its cell keeps the runs it finished and is marked ``timed_out``.
 
 Usage: python scripts/bench.py [--src LABEL=DIR ...] [--dims 101,201,401]
-                               [--repeat 3] [--timeout 600] [--out FILE]
+                               [--out FILE]
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from pathlib import Path
 
 CELLS = ("kravchuk_table", "check_kravchuk", "cli_kravchuk_table")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+REPEAT = 3
+TIMEOUT_S = 600.0
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -50,7 +52,7 @@ def vmhwm_mib() -> float | None:
     return None
 
 
-def run_cell(cell: str, d: int, repeat: int) -> None:
+def run_cell(cell: str, d: int) -> None:
     """Worker: time ``cell`` at dimension d, printing one JSON line per run."""
     from finosc import checks, kravchuk
     from finosc.cli import main as cli
@@ -59,7 +61,7 @@ def run_cell(cell: str, d: int, repeat: int) -> None:
     dim = GridDim.from_size(d)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "table.csv")
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             kravchuk.kravchuk_table.cache_clear()
             kravchuk.su2_generators.cache_clear()
             start = time.perf_counter()
@@ -75,14 +77,14 @@ def run_cell(cell: str, d: int, repeat: int) -> None:
             print(json.dumps({"s": seconds, "vmhwm_mib": vmhwm_mib(), "status": status}), flush=True)
 
 
-def measure(src: Path, cell: str, d: int, repeat: int, timeout: float) -> dict:
+def measure(src: Path, cell: str, d: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     env.update({k: "1" for k in BLAS_ENV})
-    argv = [sys.executable, __file__, "--worker", cell, str(d), "--repeat", str(repeat)]
+    argv = [sys.executable, __file__, "--worker", cell, str(d)]
     timed_out = False
     try:
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         stdout = proc.stdout
         if proc.returncode != 0:
             raise RuntimeError(f"{cell} d={d} in {src} failed:\n{proc.stderr}")
@@ -128,14 +130,12 @@ def main(argv: list[str] | None = None) -> int:
         help="a source tree to time (repeatable); default: this checkout's src as 'current'",
     )
     parser.add_argument("--dims", default="101,201,401", help="comma-separated odd dimensions")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per cell")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds allowed per cell")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: stdout)")
     parser.add_argument("--worker", nargs=2, metavar=("CELL", "D"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
-        run_cell(args.worker[0], int(args.worker[1]), args.repeat)
+        run_cell(args.worker[0], int(args.worker[1]))
         return 0
 
     trees = {}
@@ -147,22 +147,20 @@ def main(argv: list[str] | None = None) -> int:
     dims = [int(x) for x in args.dims.split(",")]
     if any(d < 3 or d % 2 == 0 for d in dims):
         parser.error(f"--dims must be odd and at least 3, got {args.dims}")
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     results = {label: {cell: {} for cell in CELLS} for label in trees}
     order = list(trees)
     for cell in CELLS:
         for d in dims:
             for label in order:
-                results[label][cell][str(d)] = measure(trees[label], cell, d, args.repeat, args.timeout)
+                results[label][cell][str(d)] = measure(trees[label], cell, d)
             order.reverse()
 
     report = {
         "machine": machine_facts(),
         "dims": dims,
-        "repeat": args.repeat,
-        "timeout_s": args.timeout,
+        "repeat": REPEAT,
+        "timeout_s": TIMEOUT_S,
         "results": results,
     }
     text = json.dumps(report, indent=2) + "\n"
