@@ -62,10 +62,43 @@ def _op_err(a: LinearOperator, b: LinearOperator) -> float:
     return float(np.max(np.abs(a.matrix - b.matrix)))
 
 
+def _ladder_error(gen: kravchuk.Su2Generators) -> float:
+    """Distance of J_z, J_+- from the spin-j ladder, free of rounding that
+    grows with d: J_z = diag(m), J_- = J_+^+ and J_+ on the subdiagonal hold
+    exactly; c_m^2 = (j-m)(j+m+1) for c_m = <m+1|J_+|m> to about an ulp,
+    relative.  These give [J_z, J_+-] = +-J_+- and [J_+, J_-] = 2 J_z."""
+    dim, c = gen.dim, np.diag(gen.jplus.matrix, -1)
+    m = dim.indices()[:-1]
+    return max(
+        _op_err(gen.jz, LinearOperator.diagonal(dim, dim.indices())),
+        _op_err(gen.jplus, LinearOperator(dim, np.diag(c, -1))),
+        _op_err(gen.jminus, gen.jplus.adjoint()),
+        float(np.max(np.abs(np.abs(c) ** 2 / ((dim.j - m) * (dim.j + m + 1)) - 1.0))),
+    )
+
+
+def _su2_commutators(gen: kravchuk.Su2Generators) -> CheckResult:
+    """The su(2) relations by structure: the ladder form (``_ladder_error``)
+    and J_x, J_y built from J_+- as stated."""
+    err = max(
+        _ladder_error(gen),
+        _op_err(gen.jx, 0.5 * (gen.jplus + gen.jminus)),
+        _op_err(gen.jy, -0.5j * (gen.jplus - gen.jminus)),
+    )
+    return _result("su2-commutators", err, 1e-12)
+
+
+def _ladder_oscillator_algebra(gen: kravchuk.Su2Generators, HK: LinearOperator) -> CheckResult:
+    """[H_K, J_+-] = +-J_+- and H_K = [J_+, J_-]/2 + j + 1/2 by structure:
+    H_K = diag(m + j + 1/2) exactly, and the ladder form (``_ladder_error``)."""
+    dim = HK.dim
+    exact = LinearOperator.diagonal(dim, dim.indices() + dim.j + 0.5)
+    return _result("ladder-oscillator-algebra", max(_op_err(HK, exact), _ladder_error(gen)), 1e-12)
+
+
 # --- d = 3 exact radicals ---------------------------------------------------
 
 _S3 = 1.0 / math.sqrt(3.0)
-_R23 = math.sqrt(2.0 / 3.0)
 
 D3_FOURIER_EIGENVECTORS = {
     # label -> (eigenvalue of F, column at n = -1, 0, 1)
@@ -241,20 +274,14 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     sym = float(np.max(np.abs(table.func - table.func.T)))
     out.append(_result("kravchuk-symmetry", sym, 1e-9))
 
-    err = 0.0
-    for n in idx:
-        for m in idx:
-            up = table.function(n, m + 1) if m + 1 <= j else 0.0
-            dn = table.function(n, m - 1) if m - 1 >= -j else 0.0
-            lhs = math.sqrt((j - m) * (j + m + 1)) * up + math.sqrt((j + m) * (j - m + 1)) * dn
-            err = max(err, abs(lhs + 2 * n * table.function(n, m)))
-    out.append(_result("kravchuk-recurrence", err, 1e-10))
+    # row n, column m: c_m f(m+1) + c_{m-1} f(m-1) = -2n f(m), f(+-(j+1)) = 0
+    f = table.func
+    up, dn = np.zeros((d, d)), np.zeros((d, d))
+    up[:, :-1], dn[:, 1:] = f[:, 1:], f[:, :-1]
+    lhs = np.sqrt((j - idx) * (j + idx + 1)) * up + np.sqrt((j + idx) * (j - idx + 1)) * dn
+    out.append(_result("kravchuk-recurrence", float(np.max(np.abs(lhs + 2 * idx[:, None] * f))), 1e-10))
 
-    par = max(
-        abs(table.function(m, -n) - (-1.0) ** (j + m) * table.function(m, n))
-        for m in idx
-        for n in idx
-    )
+    par = float(np.max(np.abs(f[:, ::-1] - (-1.0) ** (j + idx)[:, None] * f)))
     out.append(_result("kravchuk-parity", par, 1e-12))
     comp = float(np.max(np.abs(table.func.T @ table.func - np.eye(d))))
     out.append(_result("kravchuk-completeness", comp, 1e-10))
@@ -264,31 +291,22 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     out.append(_result("kravchuk-transform-unitarity", _op_err(K @ K.adjoint(), I), 1e-12))
     K2 = K @ K
     K2_expected = np.zeros((d, d), dtype=complex)
-    for ni, n in enumerate(idx):
-        K2_expected[(j - n), ni] = (-1.0) ** (j + n)
+    K2_expected[j - idx, j + idx] = (-1.0) ** (j + idx)
     out.append(
         _result("kravchuk-transform-squared", float(np.max(np.abs(K2.matrix - K2_expected))), 1e-12)
     )
     out.append(_result("kravchuk-transform-fourth-power", _op_err(K2 @ K2, I), 1e-12))
 
     gen = kravchuk.su2_generators(dim)
-    err = max(
-        _op_err(gen.jz @ gen.jplus - gen.jplus @ gen.jz, gen.jplus),
-        _op_err(gen.jz @ gen.jminus - gen.jminus @ gen.jz, -1.0 * gen.jminus),
-        _op_err(gen.jminus @ gen.jplus - gen.jplus @ gen.jminus, -2.0 * gen.jz),
-        _op_err(gen.jx @ gen.jy - gen.jy @ gen.jx, 1j * gen.jz),
-    )
-    out.append(_result("su2-commutators", err, 1e-12))
+    out.append(_su2_commutators(gen))
     out.append(_result("jx-from-jz-conjugation", _op_err(K @ gen.jz @ K.adjoint(), gen.jx), 1e-10))
     rng = np.random.default_rng(11)
     U = kravchuk.generalized_kravchuk_transform(dim, rng.uniform(0, 2 * np.pi, size=d))
     err = max(_op_err(U @ gen.jz @ U.adjoint(), gen.jx), _op_err(U @ U.adjoint(), I))
     out.append(_result("generalized-transform", err, 1e-10))
 
-    err = 0.0
-    for n in idx:
-        vec = table.function_row(-n)
-        err = max(err, float(np.max(np.abs(gen.jx.matrix @ vec.values - n * vec.values))))
+    # row n + j of the reversed table is curly-K_{-n}, the J_x eigenvector for n
+    err = max(float(np.max(np.abs(gen.jx.matrix @ v - n * v))) for n, v in zip(idx, f[::-1]))
     out.append(_result("jx-eigenbasis", err, 1e-10))
 
     hyp = max(
@@ -329,8 +347,6 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
     out = []
     d, j = dim.d, dim.j
     I = LinearOperator.identity(dim)
-    A = frames.schwinger(dim, "A")
-    B = frames.schwinger(dim, "B")
     err = max(
         _op_err(frames.schwinger(dim, "A", d), I),
         _op_err(frames.schwinger(dim, "B", d), I),
@@ -385,10 +401,7 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
 
     diag = frames.frame_analyze([GridFunction.delta(dim, k) for k in dim.indices()])
     ok = diag.is_tight and diag.frame is not None and abs(diag.frame.weights.sum() - d) < 1e-10
-    scaled = [
-        fam1.state(a, b) / math.sqrt(d) for a in dim.indices() for b in dim.indices()
-    ]
-    diag2 = frames.frame_analyze(scaled)
+    diag2 = frames.frame_analyze(fam1.state_matrix() / math.sqrt(d))
     ok = ok and diag2.is_tight and diag2.frame is not None
     ok = ok and abs(diag2.frame.weights.sum() - d) < 1e-10
     single = frames.frame_analyze([GridFunction.delta(dim, 0)])
@@ -399,7 +412,7 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
 
 def _check_oscillators(dim: GridDim) -> list[CheckResult]:
     out = []
-    d, j = dim.d, dim.j
+    d = dim.d
     F = fourier_operator(dim)
     HF = oscillators.fourier_hamiltonian(dim)
     HH = oscillators.harper_hamiltonian(dim)
@@ -416,18 +429,8 @@ def _check_oscillators(dim: GridDim) -> list[CheckResult]:
     )
     out.append(_result("frame-oscillator-covariance", err, 1e-10))
 
-    gen = kravchuk.su2_generators(dim)
     HK = oscillators.kravchuk_hamiltonian(dim)
-    err = max(
-        _op_err(HK @ gen.jplus - gen.jplus @ HK, gen.jplus),
-        _op_err(HK @ gen.jminus - gen.jminus @ HK, -1.0 * gen.jminus),
-        _op_err(
-            HK,
-            0.5 * (gen.jplus @ gen.jminus - gen.jminus @ gen.jplus)
-            + (j + 0.5) * LinearOperator.identity(dim),
-        ),
-    )
-    out.append(_result("ladder-oscillator-algebra", err, 1e-12))
+    out.append(_ladder_oscillator_algebra(kravchuk.su2_generators(dim), HK))
 
     try:
         basis = oscillators.harper_basis(dim)
@@ -436,14 +439,10 @@ def _check_oscillators(dim: GridDim) -> list[CheckResult]:
         for name in ("fractional-fourier", "deformed-reduction"):
             out.append(CheckResult(name, True, "skipped: harper-basis failed", skipped=True))
     else:
-        err = 0.0
-        for n, h in enumerate(basis.functions):
-            err = max(
-                err,
-                float(
-                    np.max(np.abs(F.matrix @ h.values - basis.fourier_eigenvalues[n] * h.values))
-                ),
-            )
+        err = max(
+            float(np.max(np.abs(F.matrix @ h.values - e * h.values)))
+            for e, h in zip(basis.fourier_eigenvalues, basis.functions)
+        )
         out.append(_result("harper-basis", err, 1e-8))
 
         I = LinearOperator.identity(dim)
@@ -486,11 +485,8 @@ def _check_oscillators(dim: GridDim) -> list[CheckResult]:
     except ValueError as exc:
         out.append(CheckResult("kravchuk-weight-factorization", True, f"skipped: {exc}", skipped=True))
     else:
-        table = kravchuk.kravchuk_table(dim)
-        err = max(
-            float(np.max(np.abs(ks[mi].values - table.func[mi])))
-            for mi in range(d)
-        )
+        rows = kravchuk.kravchuk_table(dim).func
+        err = max(float(np.max(np.abs(k.values - row))) for k, row in zip(ks, rows))
         out.append(_result("kravchuk-weight-factorization", err, 1e-8))
 
     dec = eigendecompose_hermitian(HK)

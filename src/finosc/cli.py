@@ -10,7 +10,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import math
 import os
 import sys
@@ -71,8 +71,6 @@ def _env_float(name: str) -> float | None:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     d = args.dim
-    if d is None:
-        raise UsageError("--dim is required")
     if d < 3 or d % 2 == 0:
         raise UsageError("dimension must be odd and >= 3")
     dim = GridDim.from_size(d)
@@ -130,41 +128,29 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _index_pairs(dim: GridDim) -> tuple[list[int], list[int]]:
     """Row and column index of every entry of a d x d array, in row-major order."""
     ns = dim.indices()
     return np.repeat(ns, dim.d).tolist(), np.tile(ns, dim.d).tolist()
 
 
-def _write_csv(cfg: RunConfig, header: list[str], rows) -> None:
-    def emit(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _write_csv(cfg: RunConfig, header: list[str], row_format: str, rows) -> None:
+    """Write the header and one line ``row_format % row`` per row, streamed.
+    Fields are integers (``%d``), floats (``%.17g``) or empty, so none needs
+    CSV quoting."""
+    lines = map((row_format + "\n").__mod__, rows)
+    _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
 
+
+def _write_text(cfg: RunConfig, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to --out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if cfg.out is None:
-        emit(sys.stdout)
+        sys.stdout.writelines(chunks)
     else:
         cfg.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(cfg.out, "w", newline="") as fh:
-            emit(fh)
-
-
-def _write_text(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        cfg.out.parent.mkdir(parents=True, exist_ok=True)
-        cfg.out.write_text(text)
+        with open(cfg.out, "w") as fh:
+            fh.writelines(chunks)
 
 
 # --- minimal deterministic SVG renderers -------------------------------------
@@ -199,16 +185,12 @@ def _svg_heatmap(matrix: np.ndarray) -> str:
     cell = max(4, 320 // d)
     w = h = cell * d
     lo, hi = float(matrix.min()), float(matrix.max())
-    span = max(hi - lo, 1e-300)
-    body = []
-    for r in range(d):
-        for c in range(d):
-            t = (matrix[r, c] - lo) / span
-            shade = int(255 * (1 - t))
-            body.append(
-                f'<rect x="{c * cell}" y="{(d - 1 - r) * cell}" width="{cell}" height="{cell}" '
-                f'fill="rgb({shade},{shade},255)"/>'
-            )
+    shades = (255 * (1 - (matrix - lo) / max(hi - lo, 1e-300))).astype(int)
+    body = [
+        f'<rect x="{c * cell}" y="{(d - 1 - r) * cell}" width="{cell}" height="{cell}" '
+        f'fill="rgb({shade},{shade},255)"/>'
+        for (r, c), shade in np.ndenumerate(shades)
+    ]
     return _svg_document(w, h, body)
 
 
@@ -249,15 +231,14 @@ def _pick_state(cfg: RunConfig) -> GridFunction:
 
 
 def _cmd_gaussian(cfg: RunConfig) -> int:
-    if cfg.family is None:
-        raise UsageError("gaussian requires --family")
     g = normalized_gaussian(cfg.dim, cfg.family, cfg.kappa)
     ns = cfg.dim.indices()
     vals = g.values.real
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_stem(ns, vals))
     else:
-        _write_csv(cfg, ["n", "value", "prob"], [(int(n), float(v), float(v * v)) for n, v in zip(ns, vals)])
+        rows = [(int(n), float(v), float(v * v)) for n, v in zip(ns, vals)]
+        _write_csv(cfg, ["n", "value", "prob"], "%d,%.17g,%.17g", rows)
     return 0
 
 
@@ -273,23 +254,17 @@ def _cmd_wigner(cfg: RunConfig) -> int:
         _write_text(cfg, _svg_heatmap(W.values))
         return 0
     n, m = _index_pairs(cfg.dim)
-    _write_csv(cfg, ["n", "m", "w"], zip(n, m, W.values.ravel().tolist()))
+    _write_csv(cfg, ["n", "m", "w"], "%d,%d,%.17g", zip(n, m, W.values.ravel().tolist()))
     return 0
 
 
-def _spectrum(cfg: RunConfig) -> np.ndarray:
-    H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
-    return eigendecompose_hermitian(H).eigenvalues
-
-
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.kind is None:
-        raise UsageError("spectrum requires --kind")
-    eigs = _spectrum(cfg)
+    H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
+    eigs = eigendecompose_hermitian(H).eigenvalues
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_levels(eigs))
     else:
-        _write_csv(cfg, ["index", "eigenvalue"], [(k, float(e)) for k, e in enumerate(eigs)])
+        _write_csv(cfg, ["index", "eigenvalue"], "%d,%.17g", enumerate(eigs.tolist()))
     return 0
 
 
@@ -311,8 +286,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_revival(cfg: RunConfig) -> int:
-    if cfg.kind is None:
-        raise UsageError("revival requires --kind")
     H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
     dec = eigendecompose_hermitian(H)
     report = oscillators.detect_revivals(dec, min_len=cfg.min_len, tol=cfg.tol)
@@ -328,11 +301,11 @@ def _cmd_revival(cfg: RunConfig) -> int:
         _write_text(cfg, _svg_line(list(ts), fidelity))
         return 0
     rows = [
-        ("progression", p.start, p.length, p.gap, p.period, "", "")
+        "progression,%d,%d,%.17g,%.17g,," % (p.start, p.length, p.gap, p.period)
         for p in report.progressions
     ]
-    rows += [("fidelity", "", "", "", "", float(t), float(f)) for t, f in zip(ts, fidelity)]
-    _write_csv(cfg, ["record", "start", "length", "gap", "period", "t", "fidelity"], rows)
+    rows += ["fidelity,,,,,%.17g,%.17g" % tf for tf in zip(ts.tolist(), fidelity)]
+    _write_csv(cfg, ["record", "start", "length", "gap", "period", "t", "fidelity"], "%s", rows)
     return 0
 
 
@@ -340,26 +313,19 @@ def _cmd_kravchuk_table(cfg: RunConfig) -> int:
     table = kravchuk.kravchuk_table(cfg.dim)
     m, n = _index_pairs(cfg.dim)
     rows = zip(m, n, table.poly.ravel().tolist(), table.func.ravel().tolist())
-    _write_csv(cfg, ["m", "n", "poly", "func"], rows)
+    _write_csv(cfg, ["m", "n", "poly", "func"], "%d,%d,%.17g,%.17g", rows)
     return 0
 
 
 def _cmd_frame_check(cfg: RunConfig) -> int:
-    if cfg.family is None:
-        raise UsageError("frame-check requires --family")
     family = frames.coherent_family(cfg.dim, cfg.family)
-    scale = 1.0 / math.sqrt(cfg.dim.d)
-    vectors = [
-        family.state(int(a), int(b)) * scale
-        for a in cfg.dim.indices()
-        for b in cfg.dim.indices()
-    ]
-    diag = frames.frame_analyze(vectors, tol=cfg.tol)
+    diag = frames.frame_analyze(family.state_matrix() * (1.0 / math.sqrt(cfg.dim.d)), tol=cfg.tol)
     weight_sum = float(diag.frame.weights.sum()) if diag.frame is not None else float("nan")
     _write_csv(
         cfg,
         ["lower", "upper", "spread", "weight_sum", "tight"],
-        [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, int(diag.is_tight))],
+        "%.17g,%.17g,%.17g,%.17g,%d",
+        [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, diag.is_tight)],
     )
     return 0 if diag.is_tight and diag.frame is not None else 1
 

@@ -23,6 +23,7 @@ from .grid import (
     LinearOperator,
     eigendecompose_hermitian,
 )
+from .grid import _adopt, _assign, _readonly_copy, _stack, _views
 
 __all__ = [
     "schwinger",
@@ -48,7 +49,7 @@ def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
         m = np.zeros((d, d), dtype=complex)
         i = np.arange(d)
         m[i, (i - power) % d] = 1.0
-        return LinearOperator(dim, m)
+        return _adopt(LinearOperator, dim, m)
     if which == "B":
         return LinearOperator.diagonal(dim, np.exp(2j * np.pi * dim.indices() * power / d))
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
@@ -81,17 +82,13 @@ class CoherentFamily:
     states: np.ndarray  # [alpha + j, beta + j, n + j]
 
     def __post_init__(self):
-        s = np.asarray(self.states, dtype=complex)
         d = self.dim.d
-        if s.shape != (d, d, d):
-            raise ValueError(f"expected states of shape {(d, d, d)}, got {s.shape}")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
+        object.__setattr__(self, "states", _readonly_copy(self.states, complex, (d, d, d)))
 
     def state(self, alpha: int, beta: int) -> GridFunction:
+        """|alpha,beta> as a read-only view of the stored states."""
         j, d = self.dim.j, self.dim.d
-        return GridFunction(self.dim, self.states[(alpha + j) % d, (beta + j) % d])
+        return _adopt(GridFunction, self.dim, self.states[(alpha + j) % d, (beta + j) % d])
 
     def state_matrix(self) -> np.ndarray:
         """States flattened to rows of a (d^2, d) array, label-major."""
@@ -113,7 +110,7 @@ def coherent_family(dim: GridDim, family: Family) -> CoherentFamily:
     mod = np.exp(2j * np.pi * np.outer(n, n) / d)  # [beta + j, n + j]
     pre = np.exp(-1j * np.pi * np.outer(n, n) / d)  # [alpha + j, beta + j]
     states = pre[:, :, None] * shifted[:, None, :] * mod[None, :, :]
-    return CoherentFamily(dim, family, fid, states)
+    return _adopt(CoherentFamily, dim, family, fid, states)
 
 
 def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> LinearOperator:
@@ -126,7 +123,7 @@ def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> Linear
     w = np.array([[complex(f(a, b)) for b in n] for a in n]).reshape(-1)
     S = family.state_matrix()
     A = (S.T * w) @ S.conj() / dim.d
-    return LinearOperator(dim, A)
+    return _adopt(LinearOperator, dim, A)
 
 
 def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
@@ -142,44 +139,54 @@ def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
     return vals.reshape(d, d)
 
 
-def _row_blocks(vectors, block: int):
-    """Yield (start, rows) with the values of ``block`` consecutive vectors
-    stacked as rows, so the frame sums run as d x d matrix products without
-    holding all vectors of a d^2-element system in one array."""
-    for start in range(0, len(vectors), block):
-        yield start, np.array([v.values for v in vectors[start : start + block]])
+def _frame_sums(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i w_i |u_i><u_i| and the norms ||u_i|| over the rows u_i, one block
+    of d rows at a time, so a d^2-element system forms no d^2 x d temporary."""
+    d = rows.shape[1]
+    total = np.zeros((d, d), dtype=complex)
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), d):
+        block = rows[start : start + d]
+        norms[start : start + d] = np.linalg.norm(block, axis=1)
+        total += (block.T * weights[start : start + d]) @ block.conj()
+    return total, norms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteFrame:
-    """Unit vectors u_i with weights kappa_i resolving the identity.
+    """Unit vectors u_i (the rows of ``rows``; ``vectors`` are read-only
+    GridFunction views of them) with weights kappa_i resolving the identity.
 
-    Construction validates the resolution sum kappa_i |u_i><u_i| = identity
-    and the trace identity sum kappa_i = d.
+    The constructor takes GridFunctions or an (N, d) array and validates the
+    resolution sum kappa_i |u_i><u_i| = identity and sum kappa_i = d.
     """
 
     dim: GridDim
-    vectors: tuple[GridFunction, ...]
+    rows: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if len(w) != len(self.vectors):
+    def __init__(self, dim, vectors, weights):
+        rows = _readonly_copy(_stack(vectors, 0), complex, (len(vectors), dim.d))
+        _assign(self, (dim, rows, np.array(weights, dtype=float)))._validate()
+
+    @property
+    def vectors(self) -> tuple[GridFunction, ...]:
+        return _views(self.dim, self.rows)
+
+    def _validate(self) -> "FiniteFrame":
+        U, w, d = self.rows, self.weights, self.dim.d
+        if len(w) != len(U):
             raise ValueError("one weight per vector required")
         if np.any(w <= 0):
             raise ValueError("frame weights must be positive")
-        d = self.dim.d
-        resolution = np.zeros((d, d), dtype=complex)
-        for start, U in _row_blocks(self.vectors, d):
-            if np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-12):
-                raise ValueError("frame vectors must have unit norm")
-            resolution += (U.T * w[start : start + len(U)]) @ U.conj()
+        resolution, norms = _frame_sums(U, w)
+        if np.any(np.abs(norms - 1.0) > 1e-12):
+            raise ValueError("frame vectors must have unit norm")
         if np.max(np.abs(resolution - np.eye(d))) > 1e-10:
             raise ValueError("weighted vectors do not resolve the identity")
         if abs(w.sum() - d) > 1e-10:
             raise ValueError(f"weights sum to {w.sum():.12g}, expected d = {d}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        return self
 
 
 @dataclass(frozen=True)
@@ -200,33 +207,26 @@ def frame_analyze(
 ) -> FrameDiagnostics:
     """Classify a vector system by the spectrum of its frame operator.
 
-    The system is a frame iff the lower bound is positive, and tight iff the
-    eigenvalue spread is at most ``tol``.  When tight with common bound 1 the
+    ``vectors`` is an (N, d) array with one vector per row, or a sequence of
+    GridFunctions.  The system is a frame iff the lower bound is positive,
+    and tight iff the eigenvalue spread is at most ``tol``.  When tight with common bound 1 the
     normalized FiniteFrame (kappa_i = ||w_i||^2) is attached; a tight frame
     with a different bound gets ``frame=None`` since its weight decomposition
     resolves a multiple of the identity instead.
     """
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("empty vector system")
-    dim = vectors[0].dim
-    d = dim.d
-    norms = np.empty(len(vectors))
-    S = np.zeros((d, d), dtype=complex)
-    for start, W in _row_blocks(vectors, d):
-        norms[start : start + len(W)] = np.linalg.norm(W, axis=1)
-        S += W.T @ W.conj()
+    W = np.asarray(_stack(vectors, 0), dtype=complex)
+    if W.ndim != 2 or not W.size:
+        raise ValueError(f"expected a non-empty (N, d) vector system, got shape {W.shape}")
+    dim = GridDim.from_size(W.shape[1])
+    S, norms = _frame_sums(W, np.ones(len(W)))
     if np.any(norms == 0.0):
         raise ValueError("frame vectors must be non-null")
-    dec = eigendecompose_hermitian(LinearOperator(dim, S), config)
+    dec = eigendecompose_hermitian(_adopt(LinearOperator, dim, S), config)
     lower = float(dec.eigenvalues[0])
     upper = float(dec.eigenvalues[-1])
     is_frame = lower > tol * upper
     is_tight = (upper - lower) <= tol
     frame = None
     if is_tight and abs(upper - 1.0) <= tol:
-        units = []
-        for start, W in _row_blocks(vectors, d):
-            units.extend(GridFunction(dim, u) for u in W / norms[start : start + len(W), None])
-        frame = FiniteFrame(dim, tuple(units), norms * norms)
+        frame = _adopt(FiniteFrame, dim, W / norms[:, None], norms * norms)._validate()
     return FrameDiagnostics(lower, upper, is_frame, is_tight, frame)

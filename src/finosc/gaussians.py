@@ -173,29 +173,24 @@ def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: boo
     return _paired_sum(term)
 
 
+# lattice offset and alternating sign of G1-G3; G3 also carries (-1)^n
+_LATTICE = {Family.G1: (0.0, False), Family.G2: (0.5, False), Family.G3: (0.0, True)}
+
+
 @lru_cache(maxsize=None)
 def _gaussian_cached(dim: GridDim, family: Family, kappa: float) -> GridFunction:
     j, d = dim.j, dim.d
-    half = np.zeros(j + 1)
-    if family is Family.G1:
-        for n in range(j + 1):
-            half[n] = _lattice_value(d, kappa, n, 0.0, False)
-    elif family is Family.G2:
-        for n in range(j + 1):
-            half[n] = _lattice_value(d, kappa, n, 0.5, False)
-    elif family is Family.G3:
-        for n in range(j + 1):
-            half[n] = (-1.0) ** n * _lattice_value(d, kappa, n, 0.0, True)
-    elif family is Family.G4:
-        log4j = 2 * j * log(2.0)
-        for n in range(j + 1):
-            half[n] = exp(log_binomial(2 * j, j + n) - log4j)
-    else:  # G5
-        for n in range(j + 1):
-            half[n] = np.cos(n * np.pi / d) ** (2 * j) / np.sqrt(d)
+    if family is Family.G4:
+        half = [exp(log_binomial(2 * j, j + n) - 2 * j * log(2.0)) for n in range(j + 1)]
+    elif family is Family.G5:
+        half = [np.cos(n * np.pi / d) ** (2 * j) / np.sqrt(d) for n in range(j + 1)]
+    else:
+        offset, alt = _LATTICE[family]
+        sign = -1.0 if alt else 1.0
+        half = [sign**n * _lattice_value(d, kappa, n, offset, alt) for n in range(j + 1)]
     # mirror so that value(-n) == value(n) holds exactly
-    values = np.concatenate([half[:0:-1], half])
-    return GridFunction(dim, values)
+    half = np.array(half)
+    return GridFunction(dim, np.concatenate([half[:0:-1], half]))
 
 
 def gaussian(dim: GridDim, family: Family, kappa: float | None = None) -> GridFunction:

@@ -6,8 +6,11 @@ The state space is the set of complex functions on the symmetric integer grid
 Everything downstream (Gaussians, Wigner maps, frames, oscillators) is built
 on the types and operations defined here.
 
-All values are immutable after construction and every operation is a pure
-function, so instances can be shared freely across threads.
+Values hold read-only arrays; an eigenbasis, ladder or frame holds one array
+of vectors, whose per-vector GridFunctions are read-only views of it.  Public
+constructors copy their input, results the library computes are taken over
+without a copy (``_adopt``), and every operation is a pure function, so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -70,9 +73,38 @@ class GridDim:
         return f"d={self.d}"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly_copy(values, dtype, shape: tuple) -> np.ndarray:
+    """A read-only C-ordered copy of ``values`` as ``dtype``, of this shape."""
+    a = np.array(values, dtype=dtype, order="C")
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
     a.setflags(write=False)
     return a
+
+
+def _assign(obj, fields):
+    """Set the dataclass fields of ``obj`` in order; arrays become read-only."""
+    for name, value in zip(type(obj).__dataclass_fields__, fields):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _adopt(cls, *fields):
+    """A ``cls`` holding ``fields`` as they are, without copy or validation:
+    only for arrays the library has just computed, or read-only views."""
+    return _assign(object.__new__(cls), fields)
+
+
+def _stack(vectors, axis: int) -> np.ndarray:
+    """``vectors`` as an array: GridFunctions become rows (``axis`` 0) or columns (1)."""
+    return vectors if isinstance(vectors, np.ndarray) else np.stack([v.values for v in vectors], axis)
+
+
+def _views(dim: GridDim, rows: np.ndarray) -> tuple[GridFunction, ...]:
+    """The rows of a read-only array as GridFunctions sharing its memory."""
+    return tuple(_adopt(GridFunction, dim, row) for row in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +119,17 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.dim.d,):
-            raise ValueError(f"expected {self.dim.d} values, got shape {v.shape}")
-        object.__setattr__(self, "values", _readonly(v.copy()))
+        object.__setattr__(self, "values", _readonly_copy(self.values, complex, (self.dim.d,)))
 
     @classmethod
     def delta(cls, dim: GridDim, k: int) -> "GridFunction":
         v = np.zeros(dim.d, dtype=complex)
         v[(k + dim.j) % dim.d] = 1.0
-        return cls(dim, v)
+        return _adopt(cls, dim, v)
 
     @classmethod
     def zero(cls, dim: GridDim) -> "GridFunction":
-        return cls(dim, np.zeros(dim.d, dtype=complex))
+        return _adopt(cls, dim, np.zeros(dim.d, dtype=complex))
 
     def __getitem__(self, n: int) -> complex:
         return complex(self.values[(int(n) + self.dim.j) % self.dim.d])
@@ -110,34 +139,36 @@ class GridFunction:
 
     def reflected(self) -> "GridFunction":
         """The parity image n -> value(-n)."""
-        return GridFunction(self.dim, self.values[::-1])
+        return _adopt(GridFunction, self.dim, self.values[::-1])
 
     def is_even(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.values - self.values[::-1])) <= tol)
 
     def conjugated(self) -> "GridFunction":
-        return GridFunction(self.dim, np.conj(self.values))
+        return _adopt(GridFunction, self.dim, np.conj(self.values))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _same_dim(self, other)
-        return GridFunction(self.dim, self.values + other.values)
+        return _adopt(GridFunction, self.dim, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         _same_dim(self, other)
-        return GridFunction(self.dim, self.values - other.values)
+        return _adopt(GridFunction, self.dim, self.values - other.values)
 
     def __mul__(self, scalar) -> "GridFunction":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return GridFunction(self.dim, self.values * scalar)
+        return _adopt(GridFunction, self.dim, self.values * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "GridFunction":
-        return GridFunction(self.dim, self.values / scalar)
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return _adopt(GridFunction, self.dim, self.values / scalar)
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.dim, -self.values)
+        return _adopt(GridFunction, self.dim, -self.values)
 
 
 def _same_dim(a, b):
@@ -153,18 +184,16 @@ class LinearOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim.d, self.dim.d):
-            raise ValueError(f"expected {self.dim.d}x{self.dim.d} matrix, got {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m.copy()))
+        d = self.dim.d
+        object.__setattr__(self, "matrix", _readonly_copy(self.matrix, complex, (d, d)))
 
     @classmethod
     def identity(cls, dim: GridDim) -> "LinearOperator":
-        return cls(dim, np.eye(dim.d, dtype=complex))
+        return _adopt(cls, dim, np.eye(dim.d, dtype=complex))
 
     @classmethod
     def diagonal(cls, dim: GridDim, entries) -> "LinearOperator":
-        return cls(dim, np.diag(np.asarray(entries, dtype=complex)))
+        return _adopt(cls, dim, np.diag(_readonly_copy(entries, complex, (dim.d,))))
 
     def entry(self, n: int, m: int) -> complex:
         """Matrix element <j;n| M |j;m>, indices wrapped mod d."""
@@ -173,13 +202,12 @@ class LinearOperator:
 
     def apply(self, psi: GridFunction) -> GridFunction:
         _same_dim(self, psi)
-        return GridFunction(self.dim, self.matrix @ psi.values)
+        return _adopt(GridFunction, self.dim, self.matrix @ psi.values)
 
-    def __call__(self, psi: GridFunction) -> GridFunction:
-        return self.apply(psi)
+    __call__ = apply
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.dim, self.matrix.conj().T)
+        return _adopt(LinearOperator, self.dim, np.conjugate(self.matrix.T, order="C"))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
@@ -190,34 +218,34 @@ class LinearOperator:
     def __matmul__(self, other):
         if isinstance(other, LinearOperator):
             _same_dim(self, other)
-            return LinearOperator(self.dim, self.matrix @ other.matrix)
+            return _adopt(LinearOperator, self.dim, self.matrix @ other.matrix)
         if isinstance(other, GridFunction):
             return self.apply(other)
         return NotImplemented
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         _same_dim(self, other)
-        return LinearOperator(self.dim, self.matrix + other.matrix)
+        return _adopt(LinearOperator, self.dim, self.matrix + other.matrix)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         _same_dim(self, other)
-        return LinearOperator(self.dim, self.matrix - other.matrix)
+        return _adopt(LinearOperator, self.dim, self.matrix - other.matrix)
 
     def __mul__(self, scalar) -> "LinearOperator":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return LinearOperator(self.dim, self.matrix * scalar)
+        return _adopt(LinearOperator, self.dim, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.dim, -self.matrix)
+        return _adopt(LinearOperator, self.dim, -self.matrix)
 
 
 def outer(phi: GridFunction, psi: GridFunction) -> LinearOperator:
     """The rank-one operator |phi><psi|."""
     _same_dim(phi, psi)
-    return LinearOperator(phi.dim, np.outer(phi.values, psi.values.conj()))
+    return _adopt(LinearOperator, phi.dim, np.outer(phi.values, psi.values.conj()))
 
 
 def inner_product(phi: GridFunction, psi: GridFunction) -> complex:
@@ -234,7 +262,7 @@ def fourier_operator(dim: GridDim) -> LinearOperator:
     op = _FOURIER_CACHE.get(dim)
     if op is None:
         n = dim.indices()
-        op = LinearOperator(dim, np.exp(-2j * np.pi * np.outer(n, n) / dim.d) / np.sqrt(dim.d))
+        op = _adopt(LinearOperator, dim, np.exp(-2j * np.pi * np.outer(n, n) / dim.d) / np.sqrt(dim.d))
         _FOURIER_CACHE[dim] = op
     return op
 
@@ -252,7 +280,7 @@ def parity_operator(dim: GridDim) -> LinearOperator:
     m = np.zeros((dim.d, dim.d), dtype=complex)
     i = np.arange(dim.d)
     m[i[::-1], i] = 1.0
-    return LinearOperator(dim, m)
+    return _adopt(LinearOperator, dim, m)
 
 
 def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
@@ -262,7 +290,7 @@ def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
     i = np.arange(d)
     # shifted[i_n, i_m] = psi(n - m) in storage indices (value n <-> index n + j)
     shifted = psi.values[(i[:, None] - i[None, :] + j) % d]
-    return GridFunction(phi.dim, shifted @ phi.values)
+    return _adopt(GridFunction, phi.dim, shifted @ phi.values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,35 +331,41 @@ class ConvergenceError(RuntimeError):
     before the off-diagonal mass vanished, or LAPACK reported failure."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralDecomposition:
     """Ascending real eigenvalues with orthonormal eigenvectors.
 
+    ``columns`` holds eigenvector k in column k; ``eigenvectors`` and
+    ``vector(k)`` are read-only GridFunction views of it.  The constructor
+    takes the eigenvectors as GridFunctions or as such a d x d array.
     ``residual`` is max_k ||A v_k - lambda_k v_k|| / ||A||_F for the operator
     A that was decomposed (NaN when not computed).
     """
 
     dim: GridDim
     eigenvalues: np.ndarray
-    eigenvectors: tuple[GridFunction, ...]
+    columns: np.ndarray
     residual: float = float("nan")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, dtype=float).copy())
-        )
+    def __init__(self, dim, eigenvalues, eigenvectors, residual=float("nan")):
+        columns = _readonly_copy(_stack(eigenvectors, 1), complex, (dim.d, dim.d))
+        _assign(self, (dim, np.array(eigenvalues, dtype=float), columns, float(residual)))
+
+    @property
+    def eigenvectors(self) -> tuple[GridFunction, ...]:
+        return _views(self.dim, self.columns.T)
 
     def vector(self, k: int) -> GridFunction:
-        return self.eigenvectors[k]
+        return _adopt(GridFunction, self.dim, self.columns[:, k])
 
     def vector_matrix(self) -> np.ndarray:
-        """Eigenvectors as columns of a d x d array."""
-        return np.column_stack([v.values for v in self.eigenvectors])
+        """The stored d x d array of eigenvector columns (read-only)."""
+        return self.columns
 
     def reconstruct(self) -> LinearOperator:
         """sum_k lambda_k |v_k><v_k|."""
-        V = self.vector_matrix()
-        return LinearOperator(self.dim, (V * self.eigenvalues) @ V.conj().T)
+        V = self.columns
+        return _adopt(LinearOperator, self.dim, (V * self.eigenvalues) @ V.conj().T)
 
 
 def _off_mass(a: np.ndarray) -> float:
@@ -430,9 +464,7 @@ def eigendecompose_hermitian(
 
     norm = float(np.linalg.norm(A))
     if norm == 0.0:
-        vals = np.zeros(d)
-        vecs = tuple(GridFunction.delta(dim, k) for k in dim.indices())
-        return SpectralDecomposition(dim, vals, vecs, residual=0.0)
+        return _adopt(SpectralDecomposition, dim, np.zeros(d), np.eye(d, dtype=complex), 0.0)
 
     if config.method == "jacobi":
         vals, V = _jacobi_eigenpairs(A.copy(), norm, config)
@@ -460,8 +492,7 @@ def eigendecompose_hermitian(
 
     V = np.column_stack([canonical_phase(V[:, k]) for k in range(d)])
     residual = float(np.max(np.linalg.norm(A @ V - V * vals, axis=0))) / norm
-    vecs = tuple(GridFunction(dim, V[:, k]) for k in range(d))
-    return SpectralDecomposition(dim, vals, vecs, residual=residual)
+    return _adopt(SpectralDecomposition, dim, vals, V, residual)
 
 
 def operator_exponential(
@@ -472,5 +503,5 @@ def operator_exponential(
     Unitary whenever ``scale`` is purely imaginary.
     """
     dec = eigendecompose_hermitian(M, config)
-    V = dec.vector_matrix()
-    return LinearOperator(M.dim, (V * np.exp(scale * dec.eigenvalues)) @ V.conj().T)
+    V = dec.columns
+    return _adopt(LinearOperator, M.dim, (V * np.exp(scale * dec.eigenvalues)) @ V.conj().T)

@@ -23,7 +23,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .grid import GridDim, GridFunction, LinearOperator
+from .grid import GridDim, GridFunction, LinearOperator, _adopt, _readonly_copy
 
 __all__ = [
     "KravchukTable",
@@ -102,6 +102,11 @@ class KravchukTable:
     poly: np.ndarray
     func: np.ndarray
 
+    def __post_init__(self):
+        shape = (self.dim.d, self.dim.d)
+        object.__setattr__(self, "poly", _readonly_copy(self.poly, float, shape))
+        object.__setattr__(self, "func", _readonly_copy(self.func, float, shape))
+
     def polynomial(self, m: int, n: int) -> float:
         j = self.dim.j
         return float(self.poly[m + j, n + j])
@@ -112,7 +117,7 @@ class KravchukTable:
 
     def function_row(self, m: int) -> GridFunction:
         """The basis vector curly-K_m as a grid function."""
-        return GridFunction(self.dim, self.func[m + self.dim.j])
+        return _adopt(GridFunction, self.dim, self.func[m + self.dim.j].astype(complex))
 
 
 @lru_cache(maxsize=None)
@@ -143,16 +148,14 @@ def kravchuk_table(dim: GridDim) -> KravchukTable:
             col = nxt
         poly[:, ni] = [float(c) for c in col]
         func[:, ni] = np.sqrt([binom[ni] / den for den in denom]) * poly[:, ni]
-    poly.setflags(write=False)
-    func.setflags(write=False)
-    return KravchukTable(dim, poly, func)
+    return _adopt(KravchukTable, dim, poly, func)
 
 
 def kravchuk_transform(dim: GridDim) -> LinearOperator:
     """The unitary K sending |j;n> to |curly-K_{-n}>; K^4 = identity."""
     func = kravchuk_table(dim).func
     # matrix[m_idx, n_idx] = curly-K_{-n}(m)
-    return LinearOperator(dim, func[::-1].T)
+    return _adopt(LinearOperator, dim, func[::-1].T.astype(complex, order="C"))
 
 
 def generalized_kravchuk_transform(dim: GridDim, phases) -> LinearOperator:
@@ -160,7 +163,9 @@ def generalized_kravchuk_transform(dim: GridDim, phases) -> LinearOperator:
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (dim.d,):
         raise ValueError(f"expected {dim.d} phases, got shape {phases.shape}")
-    return LinearOperator(dim, kravchuk_transform(dim).matrix * np.exp(1j * phases)[None, :])
+    return _adopt(
+        LinearOperator, dim, kravchuk_transform(dim).matrix * np.exp(1j * phases)[None, :]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,22 +182,11 @@ class Su2Generators:
 
 @lru_cache(maxsize=None)
 def su2_generators(dim: GridDim) -> Su2Generators:
-    j, d = dim.j, dim.d
-    n = dim.indices().astype(float)
-    jz = np.diag(n.astype(complex))
-    jp = np.zeros((d, d), dtype=complex)
-    jm = np.zeros((d, d), dtype=complex)
-    for i, m in enumerate(n[:-1]):
-        jp[i + 1, i] = np.sqrt((j - m) * (j + m + 1))
-    for i, m in enumerate(n[1:], start=1):
-        jm[i - 1, i] = np.sqrt((j + m) * (j - m + 1))
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2j
-    return Su2Generators(
-        dim,
-        LinearOperator(dim, jz),
-        LinearOperator(dim, jp),
-        LinearOperator(dim, jm),
-        LinearOperator(dim, jx),
-        LinearOperator(dim, jy),
-    )
+    """J_z = diag(m); J_+ |m> = c_m |m+1> and J_- = J_+^T with
+    c_m = sqrt((j-m)(j+m+1)); J_x = (J_+ + J_-)/2, J_y = (J_+ - J_-)/2i."""
+    j = dim.j
+    m = dim.indices()[:-1].astype(float)
+    c = np.sqrt((j - m) * (j + m + 1)).astype(complex)
+    jp, jm = np.diag(c, -1), np.diag(c, 1)
+    ops = (np.diag(dim.indices().astype(complex)), jp, jm, (jp + jm) / 2.0, (jp - jm) / 2j)
+    return Su2Generators(dim, *(_adopt(LinearOperator, dim, a) for a in ops))

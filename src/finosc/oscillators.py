@@ -30,6 +30,7 @@ from .grid import (
     eigendecompose_hermitian,
     fourier_operator,
 )
+from .grid import _adopt, _assign, _readonly_copy, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -81,11 +82,11 @@ def difference_momentum_squared(dim: GridDim) -> LinearOperator:
     i = np.arange(d)
     m[i, (i + 1) % d] -= 1.0
     m[i, (i - 1) % d] -= 1.0
-    return LinearOperator(dim, m)
+    return _adopt(LinearOperator, dim, m)
 
 
 def _symmetrized(op: LinearOperator) -> LinearOperator:
-    return LinearOperator(op.dim, (op.matrix + op.matrix.conj().T) / 2.0)
+    return _adopt(LinearOperator, op.dim, (op.matrix + op.matrix.conj().T) / 2.0)
 
 
 def fourier_hamiltonian(dim: GridDim) -> LinearOperator:
@@ -193,22 +194,34 @@ def sign_alternations(values: np.ndarray, zero_tol: float = 1e-9) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HarperBasis:
     """Harper eigenfunctions h_0..h_{2j} labelled by Fourier class and energy.
 
-    ``fourier_eigenvalues[n]`` is (-i)^n, verified against F h_n at build
-    time.  ``energies`` are the corresponding Harper eigenvalues in label
-    order; ``energy_order_consistent`` records whether that order coincides
-    with ascending energy, which fails as soon as two Fourier classes
-    interleave in the upper spectrum and is surfaced as a diagnostic.
+    ``columns`` holds h_n in column n; ``functions`` are read-only
+    GridFunction views of it.  ``fourier_eigenvalues[n]`` is (-i)^n,
+    verified against F h_n at build time.  ``energies`` are the corresponding
+    Harper eigenvalues in label order; ``energy_order_consistent`` records
+    whether that order coincides with ascending energy, which fails as soon as
+    two Fourier classes interleave in the upper spectrum and is surfaced as a
+    diagnostic.
     """
 
     dim: GridDim
-    functions: tuple[GridFunction, ...]
+    columns: np.ndarray
     energies: np.ndarray
     fourier_eigenvalues: np.ndarray
     energy_order_consistent: bool
+
+    def __init__(self, dim, functions, energies, fourier_eigenvalues, energy_order_consistent):
+        columns = _readonly_copy(_stack(functions, 1), complex, (dim.d, dim.d))
+        energies = np.array(energies, dtype=float)
+        phases = np.array(fourier_eigenvalues, dtype=complex)
+        _assign(self, (dim, columns, energies, phases, bool(energy_order_consistent)))
+
+    @property
+    def functions(self) -> tuple[GridFunction, ...]:
+        return _views(self.dim, self.columns.T)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +244,7 @@ def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperB
             f"(< {config.degeneracy_gap:.1e}) at {dim}"
         )
     F = fourier_operator(dim)
-    V = dec.vector_matrix()
+    V = dec.columns
     FV = F.matrix @ V
     classes = np.rint(-np.angle(np.sum(V.conj() * FV, axis=0)) / (np.pi / 2)).astype(int) % 4
     rank = np.array([np.count_nonzero(classes[:i] == r) for i, r in enumerate(classes)])
@@ -244,10 +257,9 @@ def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperB
             f"F h_{n} deviates from (-i)^{n} h_{n} by {resid[n]:.3e} (> {_FOURIER_TOL:.1e}): "
             f"Fourier classes are not separated at {dim}"
         )
-    functions = tuple(dec.eigenvectors[i] for i in order)
     energies = dec.eigenvalues[order]
     consistent = bool(np.all(np.diff(energies) > 0))
-    return HarperBasis(dim, functions, energies, phases, consistent)
+    return _adopt(HarperBasis, dim, np.take(V, order, axis=1), energies, phases, consistent)
 
 
 def fractional_fourier(
@@ -258,10 +270,9 @@ def fractional_fourier(
     The exponent branch e^{-i pi n alpha/2} is continuous in alpha and matches
     (-i)^n at integers; F^0 is the identity and F^1 the Fourier transform.
     """
-    basis = harper_basis(dim, config)
-    V = np.column_stack([h.values for h in basis.functions])
+    V = harper_basis(dim, config).columns
     w = np.exp(-0.5j * np.pi * np.arange(dim.d) * alpha)
-    return LinearOperator(dim, (V * w) @ V.conj().T)
+    return _adopt(LinearOperator, dim, (V * w) @ V.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +280,30 @@ def fractional_fourier(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GramSchmidtOscillator:
     """Orthonormal ladder functions phi_m and the spectral-sum Hamiltonian.
 
-    ``operator`` = sum_m (j + m + 1/2) |phi_m><phi_m| has eigenvalues exactly
-    1/2, 3/2, ..., 2j + 1/2 and ground state phi_{-j}.  ``min_beta`` is the
-    smallest Lanczos coefficient beta_k / j, the margin to Krylov breakdown.
+    ``columns`` holds phi_m in column m + j; ``functions`` are read-only
+    GridFunction views of it.  ``operator`` = sum_m (j + m + 1/2)
+    |phi_m><phi_m| has eigenvalues exactly 1/2, 3/2, ..., 2j + 1/2 and ground
+    state phi_{-j}.  ``min_beta`` is the smallest Lanczos coefficient
+    beta_k / j, the margin to Krylov breakdown.
     """
 
     dim: GridDim
     family: Family
-    functions: tuple[GridFunction, ...]
+    columns: np.ndarray
     operator: LinearOperator
     min_beta: float
+
+    def __init__(self, dim, family, functions, operator, min_beta):
+        columns = _readonly_copy(_stack(functions, 1), complex, (dim.d, dim.d))
+        _assign(self, (dim, family, columns, operator, float(min_beta)))
+
+    @property
+    def functions(self) -> tuple[GridFunction, ...]:
+        return _views(self.dim, self.columns.T)
 
 
 def orthonormal_functions_for_weight(
@@ -339,13 +360,8 @@ def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOs
     funcs, min_beta = orthonormal_functions_for_weight(dim, G * G, G)
     Phi = np.column_stack(funcs)
     H = (Phi * (np.arange(dim.d) + 0.5)) @ Phi.T  # level j + m + 1/2 on column m + j
-    return GramSchmidtOscillator(
-        dim,
-        fam,
-        tuple(GridFunction(dim, f) for f in funcs),
-        LinearOperator(dim, H.astype(complex)),
-        min_beta,
-    )
+    H = _adopt(LinearOperator, dim, H.astype(complex))
+    return _adopt(GramSchmidtOscillator, dim, fam, Phi.astype(complex), H, min_beta)
 
 
 def kravchuk_functions_via_orthonormalization(dim: GridDim) -> tuple[GridFunction, ...]:
@@ -357,9 +373,9 @@ def kravchuk_functions_via_orthonormalization(dim: GridDim) -> tuple[GridFunctio
     """
     g4 = gaussian(dim, Family.G4).values.real
     funcs, _ = orthonormal_functions_for_weight(dim, g4, np.sqrt(g4))
-    return tuple(
-        GridFunction(dim, f if k % 2 == 0 else -f) for k, f in enumerate(funcs)
-    )
+    rows = np.array(funcs, dtype=complex)
+    rows[1::2] *= -1
+    return _views(dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +385,9 @@ def kravchuk_functions_via_orthonormalization(dim: GridDim) -> tuple[GridFunctio
 
 def evolve_spectral(dec: SpectralDecomposition, psi: GridFunction, t: float) -> GridFunction:
     """e^{-i t H} psi from a precomputed spectral decomposition."""
-    V = dec.vector_matrix()
+    V = dec.columns
     coeff = V.conj().T @ psi.values
-    return GridFunction(dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
+    return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
 
 
 def evolve(

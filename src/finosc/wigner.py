@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import Family, gaussian
-from .grid import GridDim, GridFunction, fourier_transform
+from .grid import GridDim, GridFunction, _readonly_copy, fourier_transform
 
 __all__ = [
     "WignerMap",
@@ -30,12 +30,8 @@ class WignerMap:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.dim.d, self.dim.d):
-            raise ValueError(f"expected {self.dim.d}x{self.dim.d} values, got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        d = self.dim.d
+        object.__setattr__(self, "values", _readonly_copy(self.values, float, (d, d)))
 
     def value(self, n: int, m: int) -> float:
         j, d = self.dim.j, self.dim.d

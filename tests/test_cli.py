@@ -2,12 +2,14 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from finosc import oscillators
 from finosc.cli import main
+from finosc.frames import coherent_family, frame_analyze
 from finosc.gaussians import Family, normalized_gaussian
-from finosc.grid import GridDim, GridFunction
+from finosc.grid import GridDim, GridFunction, eigendecompose_hermitian, inner_product
 from finosc.kravchuk import kravchuk_table
 from finosc.wigner import wigner
 
@@ -31,6 +33,94 @@ def per_entry_csv(header, rows):
     for row in rows:
         writer.writerow([str(x) if isinstance(x, int) else f"{x:.17g}" for x in row])
     return buf.getvalue()
+
+
+def per_field_csv(header, rows):
+    """The CSV text of typed rows, formatted one field at a time through
+    csv.writer: integers as str, floats with 17 significant digits, anything
+    else (empty strings, record tags) as str."""
+
+    def fmt(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, float):
+            return f"{x:.17g}"
+        return str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue()
+
+
+def revival_rows(dim, kind, samples):
+    """Typed revival rows for the delta0 state: progressions, then fidelities."""
+    dec = eigendecompose_hermitian(oscillators.hamiltonian(dim, kind))
+    report = oscillators.detect_revivals(dec, min_len=3, tol=1e-10)
+    longest = max(report.progressions, key=lambda p: p.length, default=None)
+    horizon = 2.0 * longest.period if longest else 4.0 * math.pi
+    psi = GridFunction.delta(dim, 0)
+    ts = np.linspace(0.0, horizon, samples)
+    fid = [abs(inner_product(psi, oscillators.evolve_spectral(dec, psi, float(t)))) for t in ts]
+    rows = [("progression", p.start, p.length, p.gap, p.period, "", "") for p in report.progressions]
+    return rows + [("fidelity", "", "", "", "", float(t), float(f)) for t, f in zip(ts, fid)]
+
+
+def frame_check_rows(dim, family, tol):
+    """The typed frame-check row, with the frame built from d^2 GridFunctions."""
+    fam = coherent_family(dim, family)
+    scale = 1.0 / math.sqrt(dim.d)
+    diag = frame_analyze([fam.state(a, b) * scale for a in dim.indices() for b in dim.indices()], tol)
+    weight_sum = float(diag.frame.weights.sum()) if diag.frame is not None else float("nan")
+    return [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, int(diag.is_tight))]
+
+
+class TestCsvBytes:
+    """Every CSV command prints the bytes of per-field csv.writer formatting."""
+
+    def test_gaussian(self, capsys):
+        dim = GridDim.from_size(9)
+        g = normalized_gaussian(dim, Family.G2, 0.7).values.real
+        rows = [(int(n), float(v), float(v * v)) for n, v in zip(dim.indices(), g)]
+        _, out, _ = run_cli(capsys, "gaussian", "--dim", "9", "--family", "g2", "--kappa", "0.7")
+        assert out == per_field_csv(["n", "value", "prob"], rows)
+
+    def test_spectrum(self, capsys):
+        dim = GridDim.from_size(11)
+        eigs = eigendecompose_hermitian(oscillators.hamiltonian(dim, "harper")).eigenvalues
+        _, out, _ = run_cli(capsys, "spectrum", "--dim", "11", "--kind", "harper")
+        assert out == per_field_csv(["index", "eigenvalue"], [(k, float(e)) for k, e in enumerate(eigs)])
+
+    @pytest.mark.parametrize("kind", ["kravchuk", "harper"])
+    def test_revival_mixes_records(self, capsys, kind):
+        dim = GridDim.from_size(7)
+        header = ["record", "start", "length", "gap", "period", "t", "fidelity"]
+        _, out, _ = run_cli(
+            capsys, "revival", "--dim", "7", "--kind", kind, "--state", "delta0", "--samples", "40"
+        )
+        assert out == per_field_csv(header, revival_rows(dim, kind, 40))
+
+    @pytest.mark.parametrize("family, tol", [(Family.G1, "1e-10"), (Family.G4, "1e-18")])
+    def test_frame_check_including_the_nan_row(self, capsys, family, tol):
+        dim = GridDim.from_size(5)
+        header = ["lower", "upper", "spread", "weight_sum", "tight"]
+        _, out, _ = run_cli(
+            capsys, "frame-check", "--dim", "5", "--family", family.value, "--tol", tol
+        )
+        assert out == per_field_csv(header, frame_check_rows(dim, family, float(tol)))
+
+    def test_kravchuk_table_and_wigner(self, capsys):
+        dim = GridDim.from_size(5)
+        t, W = kravchuk_table(dim), wigner(GridFunction.delta(dim, 0))
+        ns = dim.indices().tolist()
+        rows = [(m, n, t.polynomial(m, n), t.function(m, n)) for m in ns for n in ns]
+        _, out, _ = run_cli(capsys, "kravchuk-table", "--dim", "5")
+        assert out == per_field_csv(["m", "n", "poly", "func"], rows)
+        _, out, _ = run_cli(capsys, "wigner", "--dim", "5", "--state", "delta0")
+        rows = [(n, m, W.value(n, m)) for n in ns for m in ns]
+        assert out == per_field_csv(["n", "m", "w"], rows)
 
 
 class TestGaussianCommand:

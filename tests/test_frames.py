@@ -19,6 +19,7 @@ from finosc.grid import (
     GridDim,
     GridFunction,
     LinearOperator,
+    eigendecompose_hermitian,
     fourier_operator,
     fourier_transform,
     inner_product,
@@ -232,6 +233,35 @@ class TestFrameAnalysis:
         with pytest.raises(ValueError):
             frame_analyze([GridFunction.delta(d3, 0), GridFunction.zero(d3)])
 
+    @pytest.mark.parametrize("bad", [np.zeros((0, 3)), np.ones(3), np.ones((2, 4))])
+    def test_rejects_arrays_that_are_not_vector_systems(self, bad):
+        with pytest.raises(ValueError):
+            frame_analyze(bad)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("d", [5, 31])
+    def test_array_and_grid_functions_agree_bitwise(self, family, d):
+        # the (N, d) array path and the GridFunction path sum the same row
+        # blocks, so bounds and weights agree to the last bit
+        dim = GridDim.from_size(d)
+        fam = coherent_family(dim, family)
+        scale = 1.0 / math.sqrt(d)
+        objects = [fam.state(a, b) * scale for a in dim.indices() for b in dim.indices()]
+        by_array = frame_analyze(fam.state_matrix() * scale)
+        by_objects = frame_analyze(objects)
+        # reference: the frame operator summed over blocks of d vectors, one
+        # d x d product each, never as one d^2 x d product
+        S = np.zeros((d, d), dtype=complex)
+        for start in range(0, d * d, d):
+            block = np.array([v.values for v in objects[start : start + d]])
+            S += block.T @ block.conj()
+        expected = eigendecompose_hermitian(LinearOperator(dim, S)).eigenvalues
+        assert by_array.lower == by_objects.lower == expected[0]
+        assert by_array.upper == by_objects.upper == expected[-1]
+        assert by_array.frame is not None and by_objects.frame is not None
+        assert np.array_equal(by_array.frame.weights, by_objects.frame.weights)
+        assert np.array_equal(by_array.frame.rows, by_objects.frame.rows)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_parseval_identity(self, seed):
@@ -254,17 +284,21 @@ class TestFrameAnalysis:
         vectors = [rand_state(dim, seed) for seed in range(count)]
         S = sum(np.outer(v.values, v.values.conj()) for v in vectors)
         expected = np.linalg.eigvalsh(S)
-        diag = frame_analyze(vectors)
-        assert diag.lower == pytest.approx(expected[0], abs=1e-12 * expected[-1])
-        assert diag.upper == pytest.approx(expected[-1], rel=1e-12)
+        # the GridFunction sequence and the equivalent (N, d) array
+        for system in (vectors, np.array([v.values for v in vectors])):
+            diag = frame_analyze(system)
+            assert diag.lower == pytest.approx(expected[0], abs=1e-12 * expected[-1])
+            assert diag.upper == pytest.approx(expected[-1], rel=1e-12)
 
     def test_finite_frame_checks_every_block(self, d3):
         vectors = [GridFunction.delta(d3, k) for _ in range(3) for k in d3.indices()]
         weights = np.array([0.5] * 3 + [0.25] * 6)
-        FiniteFrame(d3, tuple(vectors), weights)
-        vectors[-1] = 2.0 * vectors[-1]
-        with pytest.raises(ValueError, match="unit norm"):
-            FiniteFrame(d3, tuple(vectors), weights)
+        # as GridFunctions and as the equivalent (N, d) array
+        for pack in (tuple, lambda vs: np.array([v.values for v in vs])):
+            FiniteFrame(d3, pack(vectors), weights)
+            broken = vectors[:-1] + [2.0 * vectors[-1]]
+            with pytest.raises(ValueError, match="unit norm"):
+                FiniteFrame(d3, pack(broken), weights)
 
     def test_finite_frame_validates_unit_norms(self, d3):
         with pytest.raises(ValueError, match="unit norm"):

@@ -23,7 +23,14 @@ from finosc.grid import (
     outer,
     parity_operator,
 )
-from finosc.oscillators import fourier_hamiltonian
+from finosc.frames import FiniteFrame, coherent_family, frame_analyze
+from finosc.gaussians import Family
+from finosc.oscillators import (
+    fourier_hamiltonian,
+    gram_schmidt_oscillator,
+    harper_basis,
+    kravchuk_functions_via_orthonormalization,
+)
 from conftest import rand_state
 
 odd_dims = st.integers(min_value=1, max_value=12).map(lambda j: GridDim(j))
@@ -321,6 +328,94 @@ class TestOperatorExponential:
         assert np.max(np.abs((U @ U.adjoint()).matrix - np.eye(dim.d))) < 1e-12
 
 
+# every way to obtain a GridFunction: the public constructor, results the
+# library adopts without a copy, and read-only views of stored arrays
+GRID_FUNCTION_SOURCES = {
+    "constructor": lambda dim: GridFunction(dim, np.arange(dim.d)),
+    "delta": lambda dim: GridFunction.delta(dim, 0),
+    "sum": lambda dim: GridFunction.delta(dim, 0) + GridFunction.delta(dim, 1),
+    "quotient": lambda dim: GridFunction.delta(dim, 0) / 2.0,
+    "reflected": lambda dim: GridFunction.delta(dim, 1).reflected(),
+    "applied": lambda dim: fourier_transform(GridFunction.delta(dim, 0)),
+    "eigenvector": lambda dim: eigendecompose_hermitian(fourier_hamiltonian(dim)).eigenvectors[1],
+    "vector": lambda dim: eigendecompose_hermitian(fourier_hamiltonian(dim)).vector(0),
+    "harper": lambda dim: harper_basis(dim).functions[0],
+    "gram-schmidt": lambda dim: gram_schmidt_oscillator(dim, 1).functions[-1],
+    "kravchuk-ladder": lambda dim: kravchuk_functions_via_orthonormalization(dim)[1],
+    "coherent-state": lambda dim: coherent_family(dim, Family.G4).state(1, -1),
+    "frame-vector": lambda dim: frame_analyze(np.eye(dim.d)).frame.vectors[2],
+}
+
+
+def vector_systems(dim: GridDim) -> dict:
+    """(views, stored array, axis the vectors run along) of every system of
+    vectors that stores one array."""
+    dec = eigendecompose_hermitian(random_hermitian(dim, 5))
+    basis = harper_basis(dim)
+    osc = gram_schmidt_oscillator(dim, 1)
+    fam = coherent_family(dim, Family.G1)
+    frame = frame_analyze(fam.state_matrix() / math.sqrt(dim.d)).frame
+    return {
+        "spectral": (dec.eigenvectors, dec.columns, 1),
+        "harper": (basis.functions, basis.columns, 1),
+        "gram-schmidt": (osc.functions, osc.columns, 1),
+        "frame": (frame.vectors, frame.rows, 0),
+    }
+
+
+class TestStoredVectorArrays:
+    @pytest.mark.parametrize("system", ["spectral", "harper", "gram-schmidt", "frame"])
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_views_are_read_only_slices_of_the_stored_array(self, system, d):
+        views, stored, axis = vector_systems(GridDim.from_size(d))[system]
+        assert not stored.flags.writeable
+        assert len(views) == stored.shape[axis]
+        for k, v in enumerate(views):
+            assert np.array_equal(v.values, stored[:, k] if axis else stored[k])
+            assert np.shares_memory(v.values, stored)
+            assert not v.values.flags.writeable
+        with pytest.raises(ValueError):
+            views[0].values.setflags(write=True)
+
+    def test_vector_matrix_is_the_stored_array(self, d7):
+        dec = eigendecompose_hermitian(random_hermitian(d7, 8))
+        V = dec.vector_matrix()
+        assert V is dec.vector_matrix() and V is dec.columns
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+        for k in range(d7.d):
+            assert np.array_equal(dec.vector(k).values, V[:, k])
+
+    def test_constructors_accept_arrays_and_grid_functions(self, d7):
+        dec = eigendecompose_hermitian(random_hermitian(d7, 9))
+        from_tuple = SpectralDecomposition(d7, dec.eigenvalues, dec.eigenvectors)
+        from_array = SpectralDecomposition(d7, dec.eigenvalues, dec.columns)
+        assert np.array_equal(from_tuple.columns, dec.columns)
+        assert np.array_equal(from_array.columns, dec.columns)
+        assert from_array.columns is not dec.columns
+        with pytest.raises(ValueError, match="shape"):
+            SpectralDecomposition(d7, dec.eigenvalues, dec.columns[:, :-1])
+
+    @pytest.mark.parametrize("kind", ["grid-function", "operator", "spectral", "frame"])
+    def test_public_constructors_copy(self, d3, kind):
+        # mutating the caller's array afterwards leaves the object unchanged
+        a = np.eye(3, dtype=complex)
+        if kind == "grid-function":
+            a = a[0]
+            stored = GridFunction(d3, a).values
+        elif kind == "operator":
+            stored = LinearOperator(d3, a).matrix
+        elif kind == "spectral":
+            stored = SpectralDecomposition(d3, np.arange(3.0), a).columns
+        else:
+            stored = FiniteFrame(d3, a, np.ones(3)).rows
+        before = stored.copy()
+        a *= 7.0
+        assert np.array_equal(stored, before)
+        assert not np.shares_memory(stored, a)
+
+
 class TestGridFunctionBasics:
     def test_periodic_indexing(self, d3):
         psi = GridFunction(d3, [10, 20, 30])
@@ -328,9 +423,11 @@ class TestGridFunctionBasics:
         assert psi[2] == 10 and psi[-2] == 30 and psi[4] == 30
 
     def test_values_read_only(self, d3):
-        psi = GridFunction(d3, [1, 2, 3])
-        with pytest.raises(ValueError):
-            psi.values[0] = 5
+        for source, make in GRID_FUNCTION_SOURCES.items():
+            psi = make(d3)
+            with pytest.raises(ValueError):
+                psi.values[0] = 5
+            assert not psi.values.flags.writeable, source
 
     def test_outer_product(self, d3):
         a, b = GridFunction.delta(d3, -1), GridFunction.delta(d3, 1)

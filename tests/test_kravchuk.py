@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from math import comb
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finosc import kravchuk
-from finosc.checks import _check_kravchuk
-from finosc.grid import GridDim
+from finosc.checks import (
+    _check_kravchuk,
+    _check_oscillators,
+    _ladder_oscillator_algebra,
+    _su2_commutators,
+)
+from finosc.grid import GridDim, LinearOperator
 from finosc.kravchuk import (
     KravchukTable,
+    Su2Generators,
     generalized_kravchuk_transform,
     kravchuk_function,
     kravchuk_function_hypergeometric,
@@ -20,6 +27,7 @@ from finosc.kravchuk import (
     kravchuk_transform,
     su2_generators,
 )
+from finosc.oscillators import kravchuk_hamiltonian
 
 R2 = math.sqrt(2)
 
@@ -91,6 +99,12 @@ class TestTable:
         t = kravchuk_table(d7)
         assert kravchuk_table(GridDim.from_size(7)) is t
         assert not t.poly.flags.writeable and not t.func.flags.writeable
+        # the public constructor copies: the caller's arrays stay its own
+        poly, func = t.poly.copy(), t.func.copy()
+        built = KravchukTable(d7, poly, func)
+        poly[0, 0] = func[0, 0] = 99.0
+        assert np.array_equal(built.poly, t.poly) and np.array_equal(built.func, t.func)
+        assert not built.poly.flags.writeable and not built.func.flags.writeable
 
 
 class TestFunctions:
@@ -261,3 +275,69 @@ class TestSu2:
         for m in range(-j, j):
             expected = math.sqrt((j - m) * (j + m + 1))
             assert gen.jplus.entry(m + 1, m) == pytest.approx(expected, abs=1e-15)
+
+
+
+def generators_from(dim: GridDim, jp: np.ndarray, jm: np.ndarray) -> Su2Generators:
+    """Generators with the given ladders, J_z = diag(m) and J_x, J_y from J_+-."""
+    ops = (np.diag(dim.indices().astype(complex)), jp, jm, (jp + jm) / 2, (jp - jm) / 2j)
+    return Su2Generators(dim, *(LinearOperator(dim, a) for a in ops))
+
+
+def defective(dim: GridDim, defect: str) -> tuple[Su2Generators, LinearOperator]:
+    """The su(2) generators and H_K, with one deliberate defect."""
+    gen, HK = su2_generators(dim), kravchuk_hamiltonian(dim)
+    jp = gen.jplus.matrix.copy()
+    if defect == "flipped-sign-jminus":
+        return generators_from(dim, jp, -jp.T), HK
+    if defect == "flipped-sign-jy":
+        return dataclasses.replace(gen, jy=-1.0 * gen.jy), HK
+    if defect == "wrong-factor":
+        jp[5, 4] *= 1.001
+        return generators_from(dim, jp, jp.T), HK
+    if defect == "misplaced-entry":
+        jp[6, 4], jp[5, 4] = jp[5, 4], 0.0
+        return generators_from(dim, jp, jp.T), HK
+    if defect == "hk-shifted":
+        return gen, HK + LinearOperator.identity(dim)
+    assert defect == "hk-misplaced-entry"
+    m = HK.matrix.copy()
+    m[0, 1] = 1e-6
+    return gen, LinearOperator(dim, m)
+
+
+class TestStructuralLadderChecks:
+    """su2-commutators and ladder-oscillator-algebra compare structure, so
+    their rounding stays at an ulp where the commutator products lost 1e-12
+    (from d = 131 and d = 161)."""
+
+    @pytest.mark.parametrize("d", [131, 161, 201])
+    def test_pass_at_large_d(self, d):
+        dim = GridDim.from_size(d)
+        gen = su2_generators(dim)
+        for result in (_su2_commutators(gen), _ladder_oscillator_algebra(gen, kravchuk_hamiltonian(dim))):
+            assert result.passed, result.detail
+            assert result.detail.endswith("(tol 1.0e-12)")
+
+    def test_the_suite_runs_these_checks(self, d7):
+        gen = su2_generators(d7)
+        assert _su2_commutators(gen) in _check_kravchuk(d7)
+        assert _ladder_oscillator_algebra(gen, kravchuk_hamiltonian(d7)) in _check_oscillators(d7)
+
+    @pytest.mark.parametrize(
+        "defect, fails",
+        [
+            ("flipped-sign-jminus", "both"),
+            ("flipped-sign-jy", "su2"),
+            ("wrong-factor", "both"),
+            ("misplaced-entry", "both"),
+            ("hk-shifted", "ladder"),
+            ("hk-misplaced-entry", "ladder"),
+        ],
+    )
+    @pytest.mark.parametrize("d", [15, 131])
+    def test_defects_fail(self, d, defect, fails):
+        gen, HK = defective(GridDim.from_size(d), defect)
+        su2, ladder = _su2_commutators(gen), _ladder_oscillator_algebra(gen, HK)
+        assert su2.passed == (fails == "ladder"), su2.detail
+        assert ladder.passed == (fails == "su2"), ladder.detail
