@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk layer of one or more source trees of finosc.
+"""Time the Kravchuk and frames layers of one or more source trees of finosc.
 
-Three cells are timed at each dimension, every run with the Kravchuk caches
-cleared first:
+Five cells are timed at each dimension, every run with the Kravchuk and
+coherent-family caches cleared first:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
 * ``check_kravchuk``: the Kravchuk identity checks that ``finosc verify`` runs;
 * ``cli_kravchuk_table``: ``finosc kravchuk-table --dim d`` writing its CSV
-  to a file.
+  to a file;
+* ``check_frames``: the Weyl-Heisenberg and coherent-frame checks that
+  ``finosc verify`` runs;
+* ``cli_frame_check``: ``finosc frame-check --family g4 --dim d`` writing its
+  CSV to a file.
 
 Each (tree, cell, d) runs in a fresh worker process that imports finosc from
 that tree, so each records its own resident high-water mark (VmHWM). The
@@ -15,6 +19,9 @@ trees take turns going first from one dimension to the next. The JSON output
 holds the median and every run's wall time, VmHWM and the machine facts. Each
 cell runs REPEAT times; a worker still running after TIMEOUT_S seconds is
 stopped, and its cell keeps the runs it finished and is marked ``timed_out``.
+A worker may map at most MEMORY_LIMIT_MIB of address space, so that a tree
+which builds d^3 arrays cannot exhaust the machine at large d; a worker that
+runs out keeps the runs it finished and is marked ``out_of_memory``.
 
 Usage: python scripts/bench.py [--src LABEL=DIR ...] [--dims 101,201,401]
                                [--out FILE]
@@ -33,10 +40,11 @@ import tempfile
 import time
 from pathlib import Path
 
-CELLS = ("kravchuk_table", "check_kravchuk", "cli_kravchuk_table")
+CELLS = ("kravchuk_table", "check_kravchuk", "cli_kravchuk_table", "check_frames", "cli_frame_check")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEAT = 3
 TIMEOUT_S = 600.0
+MEMORY_LIMIT_MIB = 3072
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -54,25 +62,32 @@ def vmhwm_mib() -> float | None:
 
 def run_cell(cell: str, d: int) -> None:
     """Worker: time ``cell`` at dimension d, printing one JSON line per run."""
-    from finosc import checks, kravchuk
+    import resource
+
+    limit = MEMORY_LIMIT_MIB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    from finosc import checks, frames, kravchuk
     from finosc.cli import main as cli
     from finosc.grid import GridDim
 
     dim = GridDim.from_size(d)
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "table.csv")
+        out = os.path.join(tmp, "out.csv")
         for _ in range(REPEAT):
             kravchuk.kravchuk_table.cache_clear()
             kravchuk.su2_generators.cache_clear()
+            frames.coherent_family.cache_clear()
             start = time.perf_counter()
             if cell == "kravchuk_table":
                 kravchuk.kravchuk_table(dim)
                 status = "ok"
-            elif cell == "check_kravchuk":
-                results = checks._check_kravchuk(dim)
+            elif cell.startswith("check_"):
+                results = getattr(checks, f"_{cell}")(dim)
                 status = f"{sum(r.passed for r in results)}/{len(results)} passed"
-            else:
+            elif cell == "cli_kravchuk_table":
                 status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
+            else:
+                status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
             seconds = time.perf_counter() - start
             print(json.dumps({"s": seconds, "vmhwm_mib": vmhwm_mib(), "status": status}), flush=True)
 
@@ -82,11 +97,12 @@ def measure(src: Path, cell: str, d: int) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     env.update({k: "1" for k in BLAS_ENV})
     argv = [sys.executable, __file__, "--worker", cell, str(d)]
-    timed_out = False
+    timed_out = out_of_memory = False
     try:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         stdout = proc.stdout
-        if proc.returncode != 0:
+        out_of_memory = proc.returncode != 0 and "MemoryError" in proc.stderr
+        if proc.returncode != 0 and not out_of_memory:
             raise RuntimeError(f"{cell} d={d} in {src} failed:\n{proc.stderr}")
     except subprocess.TimeoutExpired as exc:
         timed_out = True
@@ -99,6 +115,7 @@ def measure(src: Path, cell: str, d: int) -> dict:
         "vmhwm_mib": runs[-1]["vmhwm_mib"] if runs else None,
         "status": sorted({r["status"] for r in runs}),
         "timed_out": timed_out,
+        "out_of_memory": out_of_memory,
     }
 
 
@@ -161,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         "dims": dims,
         "repeat": REPEAT,
         "timeout_s": TIMEOUT_S,
+        "memory_limit_mib": MEMORY_LIMIT_MIB,
         "results": results,
     }
     text = json.dumps(report, indent=2) + "\n"

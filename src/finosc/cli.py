@@ -318,8 +318,9 @@ def _cmd_kravchuk_table(cfg: RunConfig) -> int:
 
 
 def _cmd_frame_check(cfg: RunConfig) -> int:
-    family = frames.coherent_family(cfg.dim, cfg.family)
-    diag = frames.frame_analyze(family.state_matrix() * (1.0 / math.sqrt(cfg.dim.d)), tol=cfg.tol)
+    rows = frames.coherent_family(cfg.dim, cfg.family).state_matrix()
+    rows *= 1.0 / math.sqrt(cfg.dim.d)
+    diag = frames.frame_analyze(rows, tol=cfg.tol)
     weight_sum = float(diag.frame.weights.sum()) if diag.frame is not None else float("nan")
     _write_csv(
         cfg,
@@ -398,15 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](_build_config(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Shift/modulation unitaries, finite displacement operators, coherent-state
 tight frames and the quantization/dequantization maps.
 
-The d^2 displaced copies of a normalized Gaussian resolve the identity with
-uniform weight 1/d, which turns phase-space functions f(alpha, beta) into
-operators A_f = (1/d) sum f |alpha,beta><alpha,beta| and back.
+The d^2 displaced copies |alpha,beta> of a normalized Gaussian G resolve the
+identity with uniform weight 1/d, which turns phase-space functions
+f(alpha, beta) into operators A_f = (1/d) sum f |alpha,beta><alpha,beta| and
+back.  No d^3 array is held: the operators are monomial (one nonzero per
+row), a family stores only G, and both maps sum over beta first.
 """
 
 from __future__ import annotations
@@ -37,22 +39,27 @@ __all__ = [
     "frame_analyze",
 ]
 
+_FAMILY_CACHE_SIZE = 32  # coherent families kept; each holds O(d) numbers
+
+
+def _monomial(dim: GridDim, shift: int, entries: np.ndarray) -> LinearOperator:
+    """A^shift diag(entries): row n holds entries(n - shift) in column n - shift."""
+    m = np.zeros((dim.d, dim.d), dtype=complex)
+    cols = (np.arange(dim.d) - shift) % dim.d
+    m[np.arange(dim.d), cols] = entries[cols]
+    return _adopt(LinearOperator, dim, m)
+
 
 def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
     """Power of the cyclic shift A ((A psi)(n) = psi(n-1)) or modulation B.
 
     A^d = B^d = identity; A and B commute up to the phase e^{-2 pi i ab/d}.
     """
-    d = dim.d
-    power = int(power)
+    if which not in ("A", "B"):
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     if which == "A":
-        m = np.zeros((d, d), dtype=complex)
-        i = np.arange(d)
-        m[i, (i - power) % d] = 1.0
-        return _adopt(LinearOperator, dim, m)
-    if which == "B":
-        return LinearOperator.diagonal(dim, np.exp(2j * np.pi * dim.indices() * power / d))
-    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+        return _monomial(dim, int(power), np.ones(dim.d, dtype=complex))
+    return _monomial(dim, 0, np.exp(2j * np.pi * dim.indices() * int(power) / dim.d))
 
 
 def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
@@ -64,79 +71,80 @@ def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
     D(alpha + d, beta) = (-1)^beta D(alpha, beta), so reducing a label mod d
     can flip the overall sign.
     """
-    phase = np.exp(1j * np.pi * alpha * beta / dim.d)
-    return phase * (schwinger(dim, "A", alpha) @ schwinger(dim, "B", beta))
+    B = np.exp(2j * np.pi * dim.indices() * int(beta) / dim.d)
+    return np.exp(1j * np.pi * alpha * beta / dim.d) * _monomial(dim, int(alpha), B)
 
 
 @dataclass(frozen=True, eq=False)
 class CoherentFamily:
-    """The d^2 displaced copies of a fiducial normalized Gaussian.
-
-    States are stored at labels (alpha, beta) on the symmetric range; lookups
-    wrap arbitrary integers mod d.
-    """
+    """The d^2 states |alpha,beta>(n) = e^{-i pi alpha beta/d} e^{2 pi i beta n/d}
+    G(n - alpha) displaced from the fiducial G, which is all that is stored;
+    states are computed on demand, with labels wrapped mod d."""
 
     dim: GridDim
     family: Family
     fiducial: GridFunction
-    states: np.ndarray  # [alpha + j, beta + j, n + j]
 
-    def __post_init__(self):
-        d = self.dim.d
-        object.__setattr__(self, "states", _readonly_copy(self.states, complex, (d, d, d)))
+    def _states(self, alpha, beta) -> np.ndarray:
+        """|alpha,beta> for broadcast label arrays, as an array [..., n + j]."""
+        j, d, n = self.dim.j, self.dim.d, self.dim.indices()
+        a, b = ((np.asarray(x)[..., None] + j) % d - j for x in (alpha, beta))
+        states = np.exp(-1j * np.pi * (a * b) / d) * self.fiducial.values[(n - a + j) % d]
+        states *= np.exp(2j * np.pi * (b * n) / d)
+        return states
 
     def state(self, alpha: int, beta: int) -> GridFunction:
-        """|alpha,beta> as a read-only view of the stored states."""
-        j, d = self.dim.j, self.dim.d
-        return _adopt(GridFunction, self.dim, self.states[(alpha + j) % d, (beta + j) % d])
+        return _adopt(GridFunction, self.dim, self._states(alpha, beta))
 
     def state_matrix(self) -> np.ndarray:
-        """States flattened to rows of a (d^2, d) array, label-major."""
-        d = self.dim.d
-        return self.states.reshape(d * d, d)
+        """All states as the rows of a new (d^2, d) array, label-major."""
+        n = self.dim.indices()
+        return self._states(n[:, None], n).reshape(-1, self.dim.d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def coherent_family(dim: GridDim, family: Family) -> CoherentFamily:
-    """Build |alpha,beta> = D(alpha,beta)|G_family> for all labels.
+    """The coherent family displaced from the family's normalized Gaussian."""
+    return _adopt(CoherentFamily, dim, family, normalized_gaussian(dim, family))
 
-    Expanded directly: e^{-i pi alpha beta/d} e^{2 pi i beta n/d} G(n - alpha).
-    """
-    j, d = dim.j, dim.d
-    fid = normalized_gaussian(dim, family)
-    n = dim.indices()
-    i = np.arange(d)
-    shifted = fid.values[(i[None, :] - i[:, None] + j) % d]  # [alpha + j, n + j] = G(n - alpha)
-    mod = np.exp(2j * np.pi * np.outer(n, n) / d)  # [beta + j, n + j]
-    pre = np.exp(-1j * np.pi * np.outer(n, n) / d)  # [alpha + j, beta + j]
-    states = pre[:, :, None] * shifted[:, None, :] * mod[None, :, :]
-    return _adopt(CoherentFamily, dim, family, fid, states)
+
+def _cyclic_diagonals(family: CoherentFamily):
+    """Per offset k = n - m mod d: e^{2 pi i beta k/d} as [beta + j], the
+    columns (n - k) mod d, and [alpha + j, n + j] = G(n - alpha) G*(n - k - alpha)."""
+    dim, i = family.dim, np.arange(family.dim.d)
+    G = family.fiducial.values[(i - i[:, None] + dim.j) % dim.d]  # [alpha + j, n + j] = G(n - alpha)
+    for k in range(dim.d):
+        cols = (i - k) % dim.d
+        yield np.exp(2j * np.pi * dim.indices() * k / dim.d), cols, G * G[:, cols].conj()
 
 
 def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> LinearOperator:
     """A_f = (1/d) sum_{alpha,beta} f(alpha,beta) |alpha,beta><alpha,beta|.
 
-    Hermitian whenever f is real-valued.
+    Hermitian whenever f is real-valued.  Summed over beta first, A_f[n, m] =
+    (1/d) sum_alpha G(n-alpha) G*(m-alpha) fhat(alpha, n-m) with fhat(alpha, k)
+    = sum_beta f(alpha, beta) e^{2 pi i beta k/d}, one cyclic diagonal at a time.
     """
-    dim = family.dim
-    n = dim.indices()
-    w = np.array([[complex(f(a, b)) for b in n] for a in n]).reshape(-1)
-    S = family.state_matrix()
-    A = (S.T * w) @ S.conj() / dim.d
-    return _adopt(LinearOperator, dim, A)
+    n, d = family.dim.indices(), family.dim.d
+    w = np.array([[complex(f(a, b)) for b in n] for a in n]) / d
+    A = np.empty((d, d), dtype=complex)
+    for phases, cols, P in _cyclic_diagonals(family):
+        A[np.arange(d), cols] = (w @ phases) @ P
+    return _adopt(LinearOperator, family.dim, A)
 
 
 def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
     """The symbol f_M(alpha, beta) = <alpha,beta| M |alpha,beta>, as a d x d array.
 
-    Indexed [alpha + j, beta + j]; real (up to roundoff) for Hermitian M.
+    Indexed [alpha + j, beta + j]; real (up to roundoff) for Hermitian M.  As
+    in ``quantize``, summed over k of e^{-2 pi i beta k/d} sum_n G*(n-alpha) G(n-k-alpha) M[n, n-k].
     """
     if M.dim != family.dim:
         raise ValueError(f"dimension mismatch: {M.dim} vs {family.dim}")
-    S = family.state_matrix()
-    vals = np.einsum("in,nm,im->i", S.conj(), M.matrix, S)
-    d = family.dim.d
-    return vals.reshape(d, d)
+    f = 0
+    for phases, cols, P in _cyclic_diagonals(family):
+        f = f + np.outer(P.conj() @ M.matrix[np.arange(family.dim.d), cols], phases.conj())
+    return f
 
 
 def _frame_sums(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ __all__ = [
 SERIES_REL_TOL = 1e-18
 SERIES_MIN_TERMS = 3
 _SERIES_CAP = 10_000
+_GAUSSIAN_CACHE_SIZE = 256  # profiles kept, keyed by dimension, family and float kappa
 
 
 class Family(Enum):
@@ -177,7 +178,7 @@ def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: boo
 _LATTICE = {Family.G1: (0.0, False), Family.G2: (0.5, False), Family.G3: (0.0, True)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GAUSSIAN_CACHE_SIZE)
 def _gaussian_cached(dim: GridDim, family: Family, kappa: float) -> GridFunction:
     j, d = dim.j, dim.d
     if family is Family.G4:

@@ -16,6 +16,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import numbers
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = [
     "eigendecompose_hermitian",
     "operator_exponential",
 ]
+
+_FOURIER_CACHE_SIZE = 16  # Fourier operators kept, one per dimension
 
 
 @dataclass(frozen=True, order=True)
@@ -254,17 +257,11 @@ def inner_product(phi: GridFunction, psi: GridFunction) -> complex:
     return complex(np.vdot(phi.values, psi.values))
 
 
-_FOURIER_CACHE: dict[GridDim, LinearOperator] = {}
-
-
+@lru_cache(maxsize=_FOURIER_CACHE_SIZE)
 def fourier_operator(dim: GridDim) -> LinearOperator:
     """The unitary discrete Fourier transform F[psi](k) = d^{-1/2} sum_n e^{-2pi i kn/d} psi(n)."""
-    op = _FOURIER_CACHE.get(dim)
-    if op is None:
-        n = dim.indices()
-        op = _adopt(LinearOperator, dim, np.exp(-2j * np.pi * np.outer(n, n) / dim.d) / np.sqrt(dim.d))
-        _FOURIER_CACHE[dim] = op
-    return op
+    n = dim.indices()
+    return _adopt(LinearOperator, dim, np.exp(-2j * np.pi * np.outer(n, n) / dim.d) / np.sqrt(dim.d))
 
 
 def fourier_transform(psi: GridFunction) -> GridFunction:

@@ -37,6 +37,8 @@ __all__ = [
     "su2_generators",
 ]
 
+_KRAVCHUK_CACHE_SIZE = 16  # tables, and generator sets, kept per dimension
+
 
 def _check_index(dim: GridDim, value: int, name: str) -> int:
     if not -dim.j <= value <= dim.j:
@@ -120,7 +122,7 @@ class KravchukTable:
         return _adopt(GridFunction, self.dim, self.func[m + self.dim.j].astype(complex))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KRAVCHUK_CACHE_SIZE)
 def kravchuk_table(dim: GridDim) -> KravchukTable:
     """All K_m(n) and curly-K_m(n), by column recurrence by exact polynomial
     division; the alternating sum is the scalar route and the test oracle.
@@ -180,7 +182,7 @@ class Su2Generators:
     jy: LinearOperator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KRAVCHUK_CACHE_SIZE)
 def su2_generators(dim: GridDim) -> Su2Generators:
     """J_z = diag(m); J_+ |m> = c_m |m+1> and J_- = J_+^T with
     c_m = sqrt((j-m)(j+m+1)); J_x = (J_+ + J_-)/2, J_y = (J_+ - J_-)/2i."""

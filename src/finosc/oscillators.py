@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import coherent_family, quantize
+from .frames import coherent_family, quantize, schwinger
 from .gaussians import Family, gaussian, normalized_gaussian
 from .grid import (
     DEFAULT_JACOBI,
@@ -63,6 +63,7 @@ __all__ = [
 _FOURIER_TOL = 1e-8
 # Lanczos on diag(n) refuses once beta_k / j falls below this (Krylov breakdown)
 _BREAKDOWN = 1e-10
+_LADDER_CACHE_SIZE = 32  # Harper bases, and Gram-Schmidt ladders, kept
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -77,12 +78,7 @@ def position_squared(dim: GridDim) -> LinearOperator:
 
 def difference_momentum_squared(dim: GridDim) -> LinearOperator:
     """The periodic second-difference operator (P^2 psi)(n) = -[psi(n+1) - 2 psi(n) + psi(n-1)]."""
-    d = dim.d
-    m = 2.0 * np.eye(d, dtype=complex)
-    i = np.arange(d)
-    m[i, (i + 1) % d] -= 1.0
-    m[i, (i - 1) % d] -= 1.0
-    return _adopt(LinearOperator, dim, m)
+    return 2.0 * LinearOperator.identity(dim) - schwinger(dim, "A", -1) - schwinger(dim, "A", 1)
 
 
 def _symmetrized(op: LinearOperator) -> LinearOperator:
@@ -116,9 +112,7 @@ def frame_hamiltonian(dim: GridDim, family: Family | int) -> LinearOperator:
     zero-point offset; no additive constant is applied.
     """
     fam = Family(f"g{family}") if isinstance(family, int) else family
-    states = coherent_family(dim, fam)
-    H = quantize(states, lambda a, b: (a * a + b * b) / 2.0)
-    return _symmetrized(H)
+    return _symmetrized(quantize(coherent_family(dim, fam), lambda a, b: (a * a + b * b) / 2.0))
 
 
 def _check_deformation(alpha: float) -> float:
@@ -224,7 +218,7 @@ class HarperBasis:
         return _views(self.dim, self.columns.T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperBasis:
     """Diagonalize the Harper oscillator and label eigenvectors by Fourier class.
 
@@ -351,7 +345,7 @@ def orthonormal_functions_for_weight(
     return [mult / root * q for q in Q.T], float(betas.min()) / j
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOscillator:
     """Oscillator with ground state G_i: phi_m = G_i * Phi_m for the polynomials
     orthonormal under the weight G_i^2, and H = sum (j+m+1/2) |phi_m><phi_m|."""

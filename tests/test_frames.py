@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finosc import frames
+from finosc.checks import _check_frames, _schwinger_relations
 from finosc.frames import (
     FiniteFrame,
     coherent_family,
@@ -307,3 +311,192 @@ class TestFrameAnalysis:
                 tuple(2.0 * GridFunction.delta(d3, k) for k in d3.indices()),
                 np.ones(3),
             )
+
+
+# --- the dense and tensor constructions that the structured ones replaced,
+# kept as references: schwinger/displacement as dense products, the coherent
+# family as the d^3 tensor of all states, and both maps summed over it
+
+
+def dense_schwinger(dim, which, power):
+    d = dim.d
+    if which == "B":
+        return np.diag(np.exp(2j * np.pi * dim.indices() * power / d))
+    m = np.zeros((d, d), dtype=complex)
+    i = np.arange(d)
+    m[i, (i - power) % d] = 1.0
+    return m
+
+
+def dense_displacement(dim, alpha, beta):
+    product = dense_schwinger(dim, "A", alpha) @ dense_schwinger(dim, "B", beta)
+    return product * np.exp(1j * np.pi * alpha * beta / dim.d)
+
+
+def tensor_states(fam):
+    """[alpha + j, beta + j, n + j] = e^{-i pi alpha beta/d} e^{2 pi i beta n/d} G(n - alpha)."""
+    dim = fam.dim
+    j, d, n, i = dim.j, dim.d, dim.indices(), np.arange(dim.d)
+    shifted = fam.fiducial.values[(i[None, :] - i[:, None] + j) % d]
+    mod = np.exp(2j * np.pi * np.outer(n, n) / d)
+    pre = np.exp(-1j * np.pi * np.outer(n, n) / d)
+    return pre[:, :, None] * shifted[:, None, :] * mod[None, :, :]
+
+
+def tensor_quantize(fam, symbol):
+    S = tensor_states(fam).reshape(-1, fam.dim.d)
+    return (S.T * symbol.reshape(-1)) @ S.conj() / fam.dim.d
+
+
+def tensor_dequantize(fam, M):
+    S = tensor_states(fam).reshape(-1, fam.dim.d)
+    return np.einsum("in,nm,im->i", S.conj(), M, S).reshape(fam.dim.d, fam.dim.d)
+
+
+def far_labels(d):
+    """Labels on and well beyond +-d, where reduction mod d matters."""
+    return [-3 * d - 2, -d - 1, -d, -2, -1, 0, 1, 3, d - 1, d, d + 1, 2 * d + 5, 7 * d - 3]
+
+
+class TestStructuredWeylHeisenberg:
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_schwinger_equals_dense_form(self, d):
+        dim = GridDim.from_size(d)
+        for power in far_labels(d):
+            for which in "AB":
+                expected = dense_schwinger(dim, which, power)
+                assert np.array_equal(schwinger(dim, which, power).matrix, expected)
+
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_displacement_equals_dense_product(self, d):
+        dim = GridDim.from_size(d)
+        for alpha in far_labels(d):
+            for beta in far_labels(d):
+                expected = dense_displacement(dim, alpha, beta)
+                assert np.array_equal(displacement(dim, alpha, beta).matrix, expected)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_states_equal_tensor_form(self, d, family):
+        dim = GridDim.from_size(d)
+        fam = coherent_family(dim, family)
+        tensor = tensor_states(fam)
+        assert np.array_equal(fam.state_matrix(), tensor.reshape(d * d, d))
+        for alpha in far_labels(d):
+            for beta in far_labels(d):
+                expected = tensor[(alpha + dim.j) % d, (beta + dim.j) % d]
+                assert np.array_equal(fam.state(alpha, beta).values, expected)
+
+    @pytest.mark.parametrize("d", [3, 7, 31, 61, 101])
+    def test_maps_agree_with_tensor_formula(self, d):
+        dim = GridDim.from_size(d)
+        n, j = dim.indices(), dim.j
+        rng = np.random.default_rng(d)
+        symbols = {
+            "harmonic": (n[:, None] ** 2 + n[None, :] ** 2) / 2.0,
+            "random": rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+        }
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for family in (Family.G1, Family.G3, Family.G4):
+            fam = coherent_family(dim, family)
+            for table in symbols.values():
+                got = quantize(fam, lambda a, b: table[a + j, b + j]).matrix
+                expected = tensor_quantize(fam, table)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            for M in (raw, tensor_quantize(fam, symbols["harmonic"])):
+                got = dequantize(fam, LinearOperator(dim, M))
+                expected = tensor_dequantize(fam, M)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_family_holds_only_the_fiducial(self):
+        d = 201
+        fam = coherent_family(GridDim.from_size(d), Family.G4)
+        assert [f.name for f in dataclasses.fields(fam)] == ["dim", "family", "fiducial"]
+        assert not hasattr(fam, "states")
+        held = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+        assert held == [] and fam.fiducial.values.nbytes == 16 * d
+
+    def test_caches_are_bounded_by_module_constants(self):
+        from finosc import gaussians, grid, kravchuk, oscillators
+
+        bounds = {
+            grid.fourier_operator: grid._FOURIER_CACHE_SIZE,
+            gaussians._gaussian_cached: gaussians._GAUSSIAN_CACHE_SIZE,
+            kravchuk.kravchuk_table: kravchuk._KRAVCHUK_CACHE_SIZE,
+            kravchuk.su2_generators: kravchuk._KRAVCHUK_CACHE_SIZE,
+            oscillators.harper_basis: oscillators._LADDER_CACHE_SIZE,
+            oscillators.gram_schmidt_oscillator: oscillators._LADDER_CACHE_SIZE,
+            coherent_family: frames._FAMILY_CACHE_SIZE,
+        }
+        for cached, bound in bounds.items():
+            assert cached.cache_parameters()["maxsize"] == bound
+        for d in range(3, 2 * grid._FOURIER_CACHE_SIZE + 8, 2):
+            grid.fourier_operator(GridDim.from_size(d))
+        assert grid.fourier_operator.cache_info().currsize == grid._FOURIER_CACHE_SIZE
+        # read by the benchmark's tracer
+        assert list(inspect.signature(coherent_family).parameters) == ["dim", "family"]
+        assert list(inspect.signature(kravchuk.kravchuk_table).parameters) == ["dim"]
+        assert coherent_family.cache_info() and kravchuk.kravchuk_table.cache_info()
+
+
+def _mutant_schwinger(defect):
+    """frames.schwinger with one defect, for the structural relation check."""
+    orig = frames.schwinger
+
+    def mutant(dim, which, power=1):
+        if defect == "flipped-phase" and which == "B":
+            return LinearOperator(dim, orig(dim, which, power).matrix.conj())
+        if defect == "wrong-shift-direction" and which == "A":
+            return orig(dim, which, -power)
+        m = orig(dim, which, power).matrix.copy()
+        if which == "A":
+            col = int(np.argmax(m[0] != 0))
+            m[0, (col + 1) % dim.d] = 1.0  # a second nonzero in row 0 ...
+            if defect == "misplaced-nonzero":
+                m[0, col] = 0.0  # ... or the one nonzero moved
+        return LinearOperator(dim, m)
+
+    return mutant
+
+
+class TestStructuralSchwingerRelations:
+    """schwinger-relations reads the one nonzero per row of each operator and
+    checks A^a B^b = e^{-2 pi i ab/d} B^b A^a on those entries, all d^2 labels."""
+
+    @pytest.mark.parametrize("d", [3, 131, 201])
+    def test_pass(self, d):
+        result = _schwinger_relations(GridDim.from_size(d))
+        assert result.passed and result.detail.endswith("(tol 1.0e-12)"), result.detail
+
+    def test_the_suite_runs_this_check(self, d7):
+        assert _schwinger_relations(d7) in _check_frames(d7)
+
+    @pytest.mark.parametrize(
+        "defect", ["flipped-phase", "wrong-shift-direction", "misplaced-nonzero", "extra-nonzero"]
+    )
+    @pytest.mark.parametrize("d", [15, 131])
+    def test_defects_fail(self, d, defect, monkeypatch):
+        monkeypatch.setattr(frames, "schwinger", _mutant_schwinger(defect))
+        result = _schwinger_relations(GridDim.from_size(d))
+        assert not result.passed, result.detail
+
+
+class TestCoherentFourierCovarianceCoverage:
+    @pytest.mark.parametrize("d", [7, 15])
+    def test_a_wrong_state_at_any_corner_label_fails(self, d, monkeypatch):
+        dim = GridDim.from_size(d)
+        j = dim.j
+        orig = frames.CoherentFamily._states
+        name = "coherent-fourier-covariance"
+        assert next(r for r in _check_frames(dim) if r.name == name).passed
+        for bad in [(j, -j), (-j, j), (0, 0), (j, j), (-j, -j)]:
+
+            def corrupted(self, alpha, beta, bad=bad):
+                states = orig(self, alpha, beta)
+                if self.family is Family.G3:
+                    hit = (np.asarray(alpha) == bad[0]) & (np.asarray(beta) == bad[1])
+                    states = states + 1e-6 * np.broadcast_to(hit, states.shape[:-1])[..., None]
+                return states
+
+            monkeypatch.setattr(frames.CoherentFamily, "_states", corrupted)
+            assert not next(r for r in _check_frames(dim) if r.name == name).passed, bad

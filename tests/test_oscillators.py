@@ -364,3 +364,37 @@ class TestRevivalDetection:
             detect_revivals(dec, min_len=3, tol=0.0)
         with pytest.raises(ValueError):
             detect_revivals(dec, min_len=2, tol=1e-8)
+
+
+def _covariance_result(dim):
+    from finosc.checks import _check_oscillators
+
+    return next(r for r in _check_oscillators(dim) if r.name == "frame-oscillator-covariance")
+
+
+class TestFrameOscillatorCovarianceCheck:
+    """F H_2 = H_3 F and F H_4 = H_5 F, one product per side: the conjugated
+    form F H_2 F^+ = H_3 rounded the O(d^2) entries twice and read 1.6e-10
+    against the 1e-10 tolerance at d = 161."""
+
+    @pytest.mark.parametrize("d", [131, 161, 201])
+    def test_passes_at_large_d(self, d):
+        result = _covariance_result(GridDim.from_size(d))
+        assert result.passed and result.detail.endswith("(tol 1.0e-10)"), result.detail
+
+    @pytest.mark.parametrize("defect", ["swapped-families", "dropped-fourier", "flipped-symbol-sign"])
+    @pytest.mark.parametrize("d", [15, 131])
+    def test_defects_fail(self, d, defect, monkeypatch):
+        from finosc import checks
+
+        orig = oscillators.frame_hamiltonian
+        if defect == "swapped-families":
+            mutant = lambda dim, i: orig(dim, {3: 5, 5: 3}.get(i, i))  # noqa: E731
+            monkeypatch.setattr(oscillators, "frame_hamiltonian", mutant)
+        elif defect == "flipped-symbol-sign":  # H_3 from the symbol -(a^2 + b^2)/2
+            mutant = lambda dim, i: -orig(dim, i) if i == 3 else orig(dim, i)  # noqa: E731
+            monkeypatch.setattr(oscillators, "frame_hamiltonian", mutant)
+        else:
+            monkeypatch.setattr(checks, "fourier_operator", LinearOperator.identity)
+        result = _covariance_result(GridDim.from_size(d))
+        assert not result.passed, result.detail

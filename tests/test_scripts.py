@@ -43,10 +43,18 @@ def test_bench_d7(tmp_path):
     assert load("bench").main(["--dims", "7", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     cells = report["results"]["current"]
-    assert sorted(cells) == ["check_kravchuk", "cli_kravchuk_table", "kravchuk_table"]
+    assert sorted(cells) == [
+        "check_frames",
+        "check_kravchuk",
+        "cli_frame_check",
+        "cli_kravchuk_table",
+        "kravchuk_table",
+    ]
     for cell in cells.values():
         run = cell["7"]
         assert len(run["runs_s"]) == 3 and run["median_s"] > 0
-        assert run["vmhwm_mib"] > 0 and not run["timed_out"]
+        assert run["vmhwm_mib"] > 0 and not run["timed_out"] and not run["out_of_memory"]
     assert cells["check_kravchuk"]["7"]["status"] == ["13/13 passed"]
-    assert cells["cli_kravchuk_table"]["7"]["status"] == ["exit 0"]
+    assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
+    for cli_cell in ("cli_kravchuk_table", "cli_frame_check"):
+        assert cells[cli_cell]["7"]["status"] == ["exit 0"]
