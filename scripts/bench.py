@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk and frames layers of one or more source trees of finosc.
+"""Time the Kravchuk, frames and spectrum layers of one or more source trees
+of finosc.
 
-Five cells are timed at each dimension, every run with the Kravchuk and
+Seven cells are timed at each dimension, every run with the Kravchuk and
 coherent-family caches cleared first:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
@@ -11,7 +12,11 @@ coherent-family caches cleared first:
 * ``check_frames``: the Weyl-Heisenberg and coherent-frame checks that
   ``finosc verify`` runs;
 * ``cli_frame_check``: ``finosc frame-check --family g4 --dim d`` writing its
-  CSV to a file.
+  CSV to a file;
+* ``frame_hamiltonian``: quantizing the harmonic symbol over the g1 coherent
+  family (``frame_hamiltonian(dim, 1)``);
+* ``cli_spectrum``: ``finosc spectrum --kind harper --dim d`` writing its CSV
+  to a file.
 
 Each (tree, cell, d) runs in a fresh worker process that imports finosc from
 that tree, so each records its own resident high-water mark (VmHWM). The
@@ -40,7 +45,15 @@ import tempfile
 import time
 from pathlib import Path
 
-CELLS = ("kravchuk_table", "check_kravchuk", "cli_kravchuk_table", "check_frames", "cli_frame_check")
+CELLS = (
+    "kravchuk_table",
+    "check_kravchuk",
+    "cli_kravchuk_table",
+    "check_frames",
+    "cli_frame_check",
+    "frame_hamiltonian",
+    "cli_spectrum",
+)
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEAT = 3
 TIMEOUT_S = 600.0
@@ -66,7 +79,7 @@ def run_cell(cell: str, d: int) -> None:
 
     limit = MEMORY_LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    from finosc import checks, frames, kravchuk
+    from finosc import checks, frames, kravchuk, oscillators
     from finosc.cli import main as cli
     from finosc.grid import GridDim
 
@@ -81,11 +94,16 @@ def run_cell(cell: str, d: int) -> None:
             if cell == "kravchuk_table":
                 kravchuk.kravchuk_table(dim)
                 status = "ok"
+            elif cell == "frame_hamiltonian":
+                oscillators.frame_hamiltonian(dim, 1)
+                status = "ok"
             elif cell.startswith("check_"):
                 results = getattr(checks, f"_{cell}")(dim)
                 status = f"{sum(r.passed for r in results)}/{len(results)} passed"
             elif cell == "cli_kravchuk_table":
                 status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
+            elif cell == "cli_spectrum":
+                status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
             else:
                 status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
             seconds = time.perf_counter() - start

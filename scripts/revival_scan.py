@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from finosc.grid import GridDim, eigendecompose_hermitian
+from finosc.grid import GridDim, eigendecompose_hermitian, hermitian_eigenvalues
 from finosc.oscillators import detect_revivals, harper_hamiltonian, kravchuk_hamiltonian
 
 
@@ -25,8 +25,7 @@ def main() -> int:
     print(f"{'d':>4} {'harper low-gap spread':>22} {'ladder period':>14}")
     for d in range(3, args.max_dim + 1, 2):
         dim = GridDim.from_size(d)
-        harper = eigendecompose_hermitian(harper_hamiltonian(dim))
-        gaps = np.diff(harper.eigenvalues)[: args.gaps]
+        gaps = np.diff(hermitian_eigenvalues(harper_hamiltonian(dim)))[: args.gaps]
         ladder = eigendecompose_hermitian(kravchuk_hamiltonian(dim))
         report = detect_revivals(ladder, min_len=3, tol=1e-8)
         period = report.progressions[0].period if report.progressions else float("nan")

@@ -17,6 +17,7 @@ from .grid import (
     eigendecompose_hermitian,
     fourier_operator,
     fourier_transform,
+    hermitian_eigenvalues,
     inner_product,
     inverse_fourier_transform,
     operator_exponential,

@@ -22,7 +22,7 @@ import numpy as np
 from . import checks, frames, kravchuk, oscillators
 from .wigner import wigner as wigner_map
 from .gaussians import Family, gaussian, normalized_gaussian
-from .grid import GridDim, GridFunction, eigendecompose_hermitian, inner_product
+from .grid import GridDim, GridFunction, eigendecompose_hermitian, hermitian_eigenvalues, inner_product
 from .oscillators import evolve_spectral
 
 __all__ = ["main"]
@@ -260,7 +260,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
-    eigs = eigendecompose_hermitian(H).eigenvalues
+    eigs = hermitian_eigenvalues(H)
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_levels(eigs))
     else:

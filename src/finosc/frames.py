@@ -23,7 +23,7 @@ from .grid import (
     JacobiConfig,
     DEFAULT_JACOBI,
     LinearOperator,
-    eigendecompose_hermitian,
+    hermitian_eigenvalues,
 )
 from .grid import _adopt, _assign, _readonly_copy, _stack, _views
 
@@ -50,16 +50,23 @@ def _monomial(dim: GridDim, shift: int, entries: np.ndarray) -> LinearOperator:
     return _adopt(LinearOperator, dim, m)
 
 
+def _modulation(dim: GridDim, power: int) -> np.ndarray:
+    """e^{2 pi i n power/d} for n = -j..j, the exponent n power reduced mod d
+    first so that its rounding does not grow with d or with the power."""
+    return np.exp(2j * np.pi * (dim.indices() * (int(power) % dim.d) % dim.d) / dim.d)
+
+
 def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
     """Power of the cyclic shift A ((A psi)(n) = psi(n-1)) or modulation B.
 
-    A^d = B^d = identity; A and B commute up to the phase e^{-2 pi i ab/d}.
+    The power is taken mod d, so A^d = B^d = identity exactly; A and B
+    commute up to the phase e^{-2 pi i ab/d}.
     """
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     if which == "A":
         return _monomial(dim, int(power), np.ones(dim.d, dtype=complex))
-    return _monomial(dim, 0, np.exp(2j * np.pi * dim.indices() * int(power) / dim.d))
+    return _monomial(dim, 0, _modulation(dim, power))
 
 
 def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
@@ -71,7 +78,7 @@ def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
     D(alpha + d, beta) = (-1)^beta D(alpha, beta), so reducing a label mod d
     can flip the overall sign.
     """
-    B = np.exp(2j * np.pi * dim.indices() * int(beta) / dim.d)
+    B = _modulation(dim, beta)
     return np.exp(1j * np.pi * alpha * beta / dim.d) * _monomial(dim, int(alpha), B)
 
 
@@ -121,12 +128,14 @@ def _cyclic_diagonals(family: CoherentFamily):
 def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> LinearOperator:
     """A_f = (1/d) sum_{alpha,beta} f(alpha,beta) |alpha,beta><alpha,beta|.
 
+    ``f`` is called with Python int labels alpha, beta in -j..j, and A_f is
     Hermitian whenever f is real-valued.  Summed over beta first, A_f[n, m] =
     (1/d) sum_alpha G(n-alpha) G*(m-alpha) fhat(alpha, n-m) with fhat(alpha, k)
     = sum_beta f(alpha, beta) e^{2 pi i beta k/d}, one cyclic diagonal at a time.
     """
-    n, d = family.dim.indices(), family.dim.d
-    w = np.array([[complex(f(a, b)) for b in n] for a in n]) / d
+    j, d = family.dim.j, family.dim.d
+    labels = range(-j, j + 1)
+    w = np.array([[complex(f(a, b)) for b in labels] for a in labels]) / d
     A = np.empty((d, d), dtype=complex)
     for phases, cols, P in _cyclic_diagonals(family):
         A[np.arange(d), cols] = (w @ phases) @ P
@@ -229,9 +238,9 @@ def frame_analyze(
     S, norms = _frame_sums(W, np.ones(len(W)))
     if np.any(norms == 0.0):
         raise ValueError("frame vectors must be non-null")
-    dec = eigendecompose_hermitian(_adopt(LinearOperator, dim, S), config)
-    lower = float(dec.eigenvalues[0])
-    upper = float(dec.eigenvalues[-1])
+    eigs = hermitian_eigenvalues(_adopt(LinearOperator, dim, S), config)
+    lower = float(eigs[0])
+    upper = float(eigs[-1])
     is_frame = lower > tol * upper
     is_tight = (upper - lower) <= tol
     frame = None

@@ -37,6 +37,7 @@ __all__ = [
     "outer",
     "canonical_phase",
     "eigendecompose_hermitian",
+    "hermitian_eigenvalues",
     "operator_exponential",
 ]
 
@@ -376,16 +377,17 @@ def _off_mass(a: np.ndarray) -> float:
 def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
     """Multiply by the unit phase making the largest-magnitude entry real positive.
 
-    Ties (entries within tie_tol relative of the maximum) break toward the
-    lowest index, so vectors with symmetric entries get a stable sign even
-    when roundoff perturbs which entry is formally largest.
+    ``v`` is one vector or a (d, k) array whose k columns are phased each on
+    its own, in one pass.  Ties (entries within tie_tol relative of the
+    maximum) break toward the lowest index, so vectors with symmetric entries
+    get a stable sign even when roundoff perturbs which entry is formally
+    largest.  A zero vector (column) is left as it is.
     """
     mags = np.abs(v)
-    top = float(mags.max())
-    if top == 0.0:
-        return v
-    i = int(np.argmax(mags >= top * (1.0 - tie_tol)))
-    return v * (np.conj(v[i]) / mags[i])
+    top = mags.max(axis=0)
+    pivot = np.expand_dims(np.argmax(mags >= top * (1.0 - tie_tol), axis=0), 0)
+    entry = np.where(top == 0.0, 1.0, np.take_along_axis(v, pivot, 0)[0])
+    return v * (np.conj(entry) / np.abs(entry))
 
 
 def _jacobi_eigenpairs(
@@ -435,6 +437,41 @@ def _jacobi_eigenpairs(
     return np.diag(A).real, V
 
 
+def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
+    """Validate, symmetrize, solve and sort: the Hermitian working copy, its
+    Frobenius norm and the eigenvalues in ascending (stable) order with their
+    eigenvectors as columns.  The zero matrix gives norm 0 and the identity."""
+    d = M.dim.d
+    A = M.matrix
+    if not np.all(np.isfinite(A)):
+        raise ValueError("operator has non-finite entries")
+    if np.max(np.abs(A - A.conj().T)) > config.hermiticity_tol:
+        raise ValueError("operator is not Hermitian within tolerance")
+    A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
+
+    norm = float(np.linalg.norm(A))
+    if norm == 0.0:
+        return A, norm, np.zeros(d), np.eye(d, dtype=complex)
+
+    if config.method == "jacobi":
+        vals, V = _jacobi_eigenpairs(A.copy(), norm, config)
+    else:
+        try:
+            vals, V = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+
+    order = np.argsort(vals, kind="stable")
+    return A, norm, vals[order], V[:, order]
+
+
+def hermitian_eigenvalues(M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian operator, exactly those of
+    ``eigendecompose_hermitian(M, config)``, with the same errors; the
+    eigenvector convention and the residual are not computed."""
+    return _sorted_eigenpairs(M, config)[2]
+
+
 def eigendecompose_hermitian(
     M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI
 ) -> SpectralDecomposition:
@@ -448,32 +485,13 @@ def eigendecompose_hermitian(
     re-orthonormalized by modified Gram-Schmidt in index order, and each
     eigenvector carries the phase that makes its largest-magnitude entry
     real and positive.  Non-finite or non-Hermitian input raises
-    ``ValueError``.
+    ``ValueError``.  ``hermitian_eigenvalues`` gives the eigenvalues alone.
     """
     dim = M.dim
     d = dim.d
-    A = M.matrix
-    if not np.all(np.isfinite(A)):
-        raise ValueError("operator has non-finite entries")
-    if np.max(np.abs(A - A.conj().T)) > config.hermiticity_tol:
-        raise ValueError("operator is not Hermitian within tolerance")
-    A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
-
-    norm = float(np.linalg.norm(A))
+    A, norm, vals, V = _sorted_eigenpairs(M, config)
     if norm == 0.0:
-        return _adopt(SpectralDecomposition, dim, np.zeros(d), np.eye(d, dtype=complex), 0.0)
-
-    if config.method == "jacobi":
-        vals, V = _jacobi_eigenpairs(A.copy(), norm, config)
-    else:
-        try:
-            vals, V = np.linalg.eigh(A)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    V = V[:, order]
+        return _adopt(SpectralDecomposition, dim, vals, V, 0.0)
 
     # re-orthonormalize degenerate clusters in index order
     start = 0
@@ -487,7 +505,7 @@ def eigendecompose_hermitian(
                     V[:, a] = v / np.linalg.norm(v)
             start = k
 
-    V = np.column_stack([canonical_phase(V[:, k]) for k in range(d)])
+    V = np.ascontiguousarray(canonical_phase(V))
     residual = float(np.max(np.linalg.norm(A @ V - V * vals, axis=0))) / norm
     return _adopt(SpectralDecomposition, dim, vals, V, residual)
 

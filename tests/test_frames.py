@@ -19,6 +19,7 @@ from finosc.frames import (
     schwinger,
 )
 from finosc.gaussians import Family
+from finosc.oscillators import _symmetrized, frame_hamiltonian
 from finosc.grid import (
     GridDim,
     GridFunction,
@@ -314,14 +315,15 @@ class TestFrameAnalysis:
 
 
 # --- the dense and tensor constructions that the structured ones replaced,
-# kept as references: schwinger/displacement as dense products, the coherent
-# family as the d^3 tensor of all states, and both maps summed over it
+# kept as references: schwinger/displacement as dense products (the B phase
+# from the exponent n * power reduced mod d), the coherent family as the d^3
+# tensor of all states, and both maps summed over it
 
 
 def dense_schwinger(dim, which, power):
     d = dim.d
     if which == "B":
-        return np.diag(np.exp(2j * np.pi * dim.indices() * power / d))
+        return np.diag(np.exp(2j * np.pi * ((dim.indices() * power) % d) / d))
     m = np.zeros((d, d), dtype=complex)
     i = np.arange(d)
     m[i, (i - power) % d] = 1.0
@@ -351,6 +353,13 @@ def tensor_quantize(fam, symbol):
 def tensor_dequantize(fam, M):
     S = tensor_states(fam).reshape(-1, fam.dim.d)
     return np.einsum("in,nm,im->i", S.conj(), M, S).reshape(fam.dim.d, fam.dim.d)
+
+
+def int64_harmonic(a, b):
+    """The frame Hamiltonians' symbol (a^2 + b^2)/2 at numpy int64 labels,
+    which quantize passed before it passed Python ints."""
+    a, b = np.int64(a), np.int64(b)
+    return (a * a + b * b) / 2.0
 
 
 def far_labels(d):
@@ -457,6 +466,47 @@ def _mutant_schwinger(defect):
         return LinearOperator(dim, m)
 
     return mutant
+
+
+class TestReducedSchwingerPhase:
+    """The modulation phase is e^{2 pi i (n power mod d)/d}, so powers are
+    periodic exactly and the relation check's rounding does not grow with d."""
+
+    @pytest.mark.parametrize("d", [3, 7, 101, 401])
+    def test_power_d_is_exactly_the_identity(self, d):
+        dim = GridDim.from_size(d)
+        for which in "AB":
+            assert np.array_equal(schwinger(dim, which, d).matrix, np.eye(d))
+            assert np.array_equal(schwinger(dim, which, -3 * d).matrix, np.eye(d))
+
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_powers_are_periodic_exactly(self, d):
+        dim = GridDim.from_size(d)
+        for power in far_labels(d):
+            for which in "AB":
+                expected = schwinger(dim, which, power).matrix
+                assert np.array_equal(schwinger(dim, which, power + d).matrix, expected)
+
+    @pytest.mark.parametrize("d", [15, 131, 201, 401])
+    def test_relation_error_stays_flat(self, d):
+        result = _schwinger_relations(GridDim.from_size(d))
+        err = float(result.detail.split()[2])
+        assert result.passed and err <= 1e-14, result.detail
+
+
+class TestIntegerSymbolLabels:
+    def test_quantize_passes_python_ints(self, d7):
+        seen = set()
+        quantize(coherent_family(d7, Family.G1), lambda a, b: seen.add((type(a), type(b), a, b)) or 1.0)
+        assert {(ta, tb) for ta, tb, _, _ in seen} == {(int, int)}
+        assert sorted((a, b) for _, _, a, b in seen) == [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+
+    @pytest.mark.parametrize("d", [3, 37, 61, 101])
+    def test_frame_hamiltonian_equals_int64_evaluation(self, d):
+        dim = GridDim.from_size(d)
+        for family in Family:
+            expected = _symmetrized(quantize(coherent_family(dim, family), int64_harmonic))
+            assert np.array_equal(frame_hamiltonian(dim, family).matrix, expected.matrix)
 
 
 class TestStructuralSchwingerRelations:

@@ -17,17 +17,20 @@ from finosc.grid import (
     eigendecompose_hermitian,
     fourier_operator,
     fourier_transform,
+    hermitian_eigenvalues,
     inner_product,
     inverse_fourier_transform,
     operator_exponential,
     outer,
     parity_operator,
 )
+from finosc import grid
 from finosc.frames import FiniteFrame, coherent_family, frame_analyze
 from finosc.gaussians import Family
 from finosc.oscillators import (
     fourier_hamiltonian,
     gram_schmidt_oscillator,
+    hamiltonian,
     harper_basis,
     kravchuk_functions_via_orthonormalization,
 )
@@ -308,6 +311,160 @@ class TestLapackAgainstJacobi:
 
     def test_fourier_hamiltonian_d15(self, d15):
         assert_lapack_matches_jacobi(fourier_hamiltonian(d15))
+
+
+# --- the eigenvector convention as built before eigenvalue-only solves and
+# the one-pass phase, kept as the reference: canonical_phase took one vector,
+# and eigendecompose_hermitian phased the eigenvectors one column at a time
+
+
+def loop_canonical_phase(v, tie_tol=1e-9):
+    """The former one-vector canonical_phase."""
+    mags = np.abs(v)
+    top = float(mags.max())
+    if top == 0.0:
+        return v
+    i = int(np.argmax(mags >= top * (1.0 - tie_tol)))
+    return v * (np.conj(v[i]) / mags[i])
+
+
+def loop_eigendecompose(M, config=JacobiConfig()):
+    """(eigenvalues, columns) of the former eigendecompose_hermitian."""
+    d = M.dim.d
+    A = (M.matrix + M.matrix.conj().T) / 2.0
+    norm = float(np.linalg.norm(A))
+    if norm == 0.0:
+        return np.zeros(d), np.eye(d, dtype=complex)
+    if config.method == "jacobi":
+        vals, V = grid._jacobi_eigenpairs(A.copy(), norm, config)
+    else:
+        vals, V = np.linalg.eigh(A)
+    order = np.argsort(vals, kind="stable")
+    vals, V = vals[order], V[:, order]
+    start = 0
+    for k in range(1, d + 1):
+        if k == d or vals[k] - vals[k - 1] >= config.degeneracy_gap:
+            if k - start > 1:
+                for a in range(start, k):
+                    v = V[:, a]
+                    for b in range(start, a):
+                        v = v - np.vdot(V[:, b], v) * V[:, b]
+                    V[:, a] = v / np.linalg.norm(v)
+            start = k
+    return vals, np.column_stack([loop_canonical_phase(V[:, k]) for k in range(d)])
+
+
+def special_operators(dim):
+    """The identity, a rank-one projector, the zero matrix and a random one."""
+    v = np.arange(1, dim.d + 1) + 0.5j
+    return [
+        LinearOperator.identity(dim),
+        LinearOperator(dim, np.outer(v, v.conj()) / np.vdot(v, v).real),
+        LinearOperator(dim, np.zeros((dim.d, dim.d))),
+        random_hermitian(dim, dim.d),
+    ]
+
+
+def assert_matches_loop_reference(M, config=JacobiConfig()):
+    dec = eigendecompose_hermitian(M, config)
+    vals, columns = loop_eigendecompose(M, config)
+    assert np.array_equal(hermitian_eigenvalues(M, config), dec.eigenvalues)
+    assert np.array_equal(dec.eigenvalues, vals)
+    assert np.array_equal(dec.columns, columns)
+    assert dec.columns.flags.c_contiguous
+
+
+class TestEigenvaluesOnly:
+    """hermitian_eigenvalues returns the eigenvalues of eigendecompose_hermitian
+    bit for bit, whose columns equal the one-column-at-a-time phase loop."""
+
+    @pytest.mark.parametrize("config", [JacobiConfig(), JACOBI], ids=["lapack", "jacobi"])
+    @pytest.mark.parametrize("d", [3, 7, 37])
+    def test_special_operators(self, d, config):
+        for M in special_operators(GridDim.from_size(d)):
+            assert_matches_loop_reference(M, config)
+
+    @pytest.mark.parametrize("d", [101, 201])
+    def test_special_operators_large(self, d):
+        for M in special_operators(GridDim.from_size(d)):
+            assert_matches_loop_reference(M)
+
+    @pytest.mark.parametrize("d", [3, 37, 101, 201])
+    def test_every_oscillator_kind(self, d):
+        dim = GridDim.from_size(d)
+        kinds = [("fourier", {}), ("harper", {}), ("kravchuk", {})]
+        kinds += [("frame", {"family": i}) for i in range(1, 6)]
+        kinds += [("gramschmidt", {"family": i}) for i in range(1, 5)]
+        kinds += [("deformed-fourier", {"alpha": 0.7}), ("deformed-harper", {"alpha": 1.3})]
+        for kind, options in kinds:
+            assert_matches_loop_reference(hamiltonian(dim, kind, **options))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(min_value=1, max_value=100).map(GridDim), seed=st.integers(0, 2**31))
+    def test_random_hermitian(self, dim, seed):
+        assert_matches_loop_reference(random_hermitian(dim, seed))
+
+    @settings(max_examples=10, deadline=None)
+    @given(dim=odd_dims, seed=st.integers(0, 2**31))
+    def test_random_hermitian_jacobi(self, dim, seed):
+        assert_matches_loop_reference(random_hermitian(dim, seed), JACOBI)
+
+    def test_zero_matrix(self, d3):
+        got = hermitian_eigenvalues(LinearOperator(d3, np.zeros((3, 3))))
+        assert np.array_equal(got, np.zeros(3)) and got.dtype == float
+
+    @pytest.mark.parametrize("solve", [eigendecompose_hermitian, hermitian_eigenvalues])
+    @pytest.mark.parametrize("config", [JacobiConfig(), JACOBI], ids=["lapack", "jacobi"])
+    def test_same_errors(self, d3, d15, solve, config, monkeypatch):
+        bad = np.eye(3, dtype=complex)
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="^operator has non-finite entries$"):
+            solve(LinearOperator(d3, bad), config)
+        with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
+            solve(LinearOperator(d3, np.triu(np.ones((3, 3)))), config)
+        capped = JacobiConfig(method="jacobi", max_sweeps=1)
+        with pytest.raises(ConvergenceError, match="^Jacobi did not converge in 1 sweeps"):
+            solve(random_hermitian(d15, 4), capped)
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="^LAPACK eigh did not converge: Eigenvalues"):
+            solve(LinearOperator.diagonal(d3, [1.0, 2.0, 3.0]))
+
+
+class TestOnePassCanonicalPhase:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 40), k=st.integers(1, 12), seed=st.integers(0, 2**31))
+    def test_columns_match_the_per_column_loop(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+        V[:, rng.random(k) < 0.2] = 0.0  # zero columns are left as they are
+        V[-1] = V[0]  # a tie between the first and last entry
+        expected = np.column_stack([loop_canonical_phase(V[:, c]) for c in range(k)])
+        assert np.array_equal(canonical_phase(V), expected)
+
+    def test_one_vector(self, d7):
+        v = rand_state(d7, 3).values
+        assert np.array_equal(canonical_phase(v), loop_canonical_phase(v))
+        assert np.array_equal(canonical_phase(np.zeros(7, dtype=complex)), np.zeros(7))
+
+    def test_single_entry_array(self):
+        # numpy multiplies a (1, 1) array by the (1,) phases in its two-array
+        # loop, not the array-by-scalar one, so the imaginary part can differ
+        # from the one-vector form in the last bit: here it is exactly 0
+        v = np.array([[0.18905338 - 0.52274844j]])
+        got = canonical_phase(v)
+        assert got.imag[0, 0] == 0.0 and got.real[0, 0] > 0.0
+        assert abs(got[0, 0] - loop_canonical_phase(v[:, 0])[0]) <= 1e-16
+
+    def test_tie_breaks_toward_lowest_index(self):
+        v = np.array([1j * (1 - 1e-12), 0.5, -1j])
+        expected = [1 - 1e-12, -0.5j, -1.0]
+        assert np.array_equal(canonical_phase(v), expected)
+        both = np.column_stack([v, 1j * v])
+        assert np.array_equal(canonical_phase(both), np.column_stack([expected, expected]))
 
 
 class TestOperatorExponential:

@@ -48,6 +48,8 @@ def test_bench_d7(tmp_path):
         "check_kravchuk",
         "cli_frame_check",
         "cli_kravchuk_table",
+        "cli_spectrum",
+        "frame_hamiltonian",
         "kravchuk_table",
     ]
     for cell in cells.values():
@@ -56,5 +58,7 @@ def test_bench_d7(tmp_path):
         assert run["vmhwm_mib"] > 0 and not run["timed_out"] and not run["out_of_memory"]
     assert cells["check_kravchuk"]["7"]["status"] == ["13/13 passed"]
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
-    for cli_cell in ("cli_kravchuk_table", "cli_frame_check"):
+    for cell in ("kravchuk_table", "frame_hamiltonian"):
+        assert cells[cell]["7"]["status"] == ["ok"]
+    for cli_cell in ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum"):
         assert cells[cli_cell]["7"]["status"] == ["exit 0"]
