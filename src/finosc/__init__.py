@@ -10,6 +10,7 @@ from .gaussians import Family, gaussian, normalized_gaussian, norm_squared_close
 from .grid import (
     GridDim,
     GridFunction,
+    InputError,
     JacobiConfig,
     LinearOperator,
     SpectralDecomposition,

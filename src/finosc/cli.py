@@ -4,7 +4,8 @@ oscillator spectra, revival analyses and the identity-check suite.
 Subcommands: gaussian, wigner, spectrum, verify, revival, kravchuk-table,
 frame-check.  Configuration precedence is flags > FINOSC_* environment
 variables > defaults.  Exit codes: 0 success, 1 computation or verification
-failure, 2 usage error.
+failure, 2 an InputError (an argument outside its domain), raised by the
+library's own input rules or by the few flags only the command line has.
 """
 
 from __future__ import annotations
@@ -21,89 +22,55 @@ import numpy as np
 
 from . import checks, frames, kravchuk, oscillators
 from .wigner import wigner as wigner_map
-from .gaussians import Family, gaussian, normalized_gaussian
-from .grid import GridDim, GridFunction, eigendecompose_hermitian, hermitian_eigenvalues, inner_product
-from .oscillators import evolve_spectral
+from .gaussians import Family, _check_kappa, normalized_gaussian
+from .grid import GridDim, GridFunction, InputError, _check_tolerance, inner_product
+from .grid import eigendecompose_hermitian, hermitian_eigenvalues
+from .oscillators import _KINDS, _check_kind, _check_min_len, evolve_spectral
 
 __all__ = ["main"]
-
-_KINDS = (
-    "fourier",
-    "harper",
-    "kravchuk",
-    "frame",
-    "gramschmidt",
-    "deformed-fourier",
-    "deformed-harper",
-)
-
-
-class UsageError(ValueError):
-    """Invalid configuration; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     dim: GridDim
-    family: Family | None = None
-    kappa: float | None = None
-    kind: str | None = None
-    alpha: float | None = None
-    state: str = "random"
-    seed: int = 0
-    samples: int = 200
-    tol: float = 1e-10
-    min_len: int = 3
-    out: Path | None = None
-    fmt: str = "csv"
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name} is not a number: {raw!r}") from None
+    family: Family | None
+    kappa: float | None
+    kind: str | None
+    alpha: float | None
+    state: str | None
+    seed: int | None
+    samples: int | None
+    tol: float
+    min_len: int | None
+    out: Path | None
+    fmt: str
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    d = args.dim
-    if d < 3 or d % 2 == 0:
-        raise UsageError("dimension must be odd and >= 3")
-    dim = GridDim.from_size(d)
-
-    family = Family.from_label(args.family) if getattr(args, "family", None) else None
-    kappa = getattr(args, "kappa", None)
-    if kappa is not None:
-        if kappa <= 0:
-            raise UsageError("kappa must be positive")
-        if family is not None and not family.has_kappa:
-            raise UsageError(f"family {family.value} takes no kappa")
-
-    tol = args.tol if getattr(args, "tol", None) is not None else _env_float("FINOSC_TOL")
+    """The run's configuration, with every flag checked against the library's
+    rules before any computation starts."""
+    opts = vars(args)
+    dim = GridDim.from_size(args.dim)
+    family = Family.from_label(args.family) if opts.get("family") else None
+    # a kappa is vetted even where --state delta0 ignores it, as a theta family's
+    _check_kappa(family or Family.G1, opts.get("kappa"))
+    tol = args.tol
     if tol is None:
-        tol = 1e-10
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
+        raw = os.environ.get("FINOSC_TOL", "1e-10")
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise InputError(f"environment variable FINOSC_TOL is not a number: {raw!r}") from None
+    _check_tolerance(tol)
+    if opts.get("kind") is not None:
+        _check_kind(args.kind, family, args.alpha)
+    if opts.get("min_len") is not None:
+        _check_min_len(args.min_len)
+    if opts.get("samples") is not None and args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
 
-    kind = getattr(args, "kind", None)
-    alpha = getattr(args, "alpha", None)
-    if kind in ("frame", "gramschmidt") and family is None:
-        raise UsageError(f"--kind {kind} requires --family")
-    if kind in ("deformed-fourier", "deformed-harper"):
-        if alpha is None:
-            raise UsageError(f"--kind {kind} requires --alpha")
-        if not 0.0 < alpha < 2.0:
-            raise UsageError("deformation alpha must lie in (0, 2)")
-
-    min_len = getattr(args, "min_len", 3)
-    if min_len < 3:
-        raise UsageError("--min-len must be at least 3")
-
-    out = getattr(args, "out", None)
+    out = args.out
     if out is None:
         out_dir = os.environ.get("FINOSC_OUT_DIR")
         if out_dir:
@@ -115,14 +82,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         dim=dim,
         family=family,
-        kappa=kappa,
-        kind=kind,
-        alpha=alpha,
-        state=getattr(args, "state", "random"),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 200),
+        kappa=opts.get("kappa"),
+        kind=opts.get("kind"),
+        alpha=opts.get("alpha"),
+        state=opts.get("state"),
+        seed=opts.get("seed"),
+        samples=opts.get("samples"),
         tol=tol,
-        min_len=min_len,
+        min_len=opts.get("min_len"),
         out=out,
         fmt=args.format,
     )
@@ -248,7 +215,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
     elif cfg.family is not None:
         psi = normalized_gaussian(cfg.dim, cfg.family, cfg.kappa)
     else:
-        raise UsageError("wigner requires --family or --state delta0")
+        raise InputError("wigner requires --family or --state delta0")
     W = wigner_map(psi)
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_heatmap(W.values))
@@ -402,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_build_config(args))
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

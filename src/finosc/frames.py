@@ -184,26 +184,30 @@ class FiniteFrame:
 
     def __init__(self, dim, vectors, weights):
         rows = _readonly_copy(_stack(vectors, 0), complex, (len(vectors), dim.d))
-        _assign(self, (dim, rows, np.array(weights, dtype=float)))._validate()
+        w = np.array(weights, dtype=float)
+        if len(w) != len(rows):
+            raise ValueError("one weight per vector required")
+        if np.any(w <= 0):
+            raise ValueError("frame weights must be positive")
+        resolution, norms = _frame_sums(rows, w)
+        if np.any(np.abs(norms - 1.0) > 1e-12):
+            raise ValueError("frame vectors must have unit norm")
+        _check_resolution(resolution, w)
+        _assign(self, (dim, rows, w))
 
     @property
     def vectors(self) -> tuple[GridFunction, ...]:
         return _views(self.dim, self.rows)
 
-    def _validate(self) -> "FiniteFrame":
-        U, w, d = self.rows, self.weights, self.dim.d
-        if len(w) != len(U):
-            raise ValueError("one weight per vector required")
-        if np.any(w <= 0):
-            raise ValueError("frame weights must be positive")
-        resolution, norms = _frame_sums(U, w)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("frame vectors must have unit norm")
-        if np.max(np.abs(resolution - np.eye(d))) > 1e-10:
-            raise ValueError("weighted vectors do not resolve the identity")
-        if abs(w.sum() - d) > 1e-10:
-            raise ValueError(f"weights sum to {w.sum():.12g}, expected d = {d}")
-        return self
+
+def _check_resolution(resolution: np.ndarray, weights: np.ndarray) -> None:
+    """Refuse unless sum_i kappa_i |u_i><u_i| = ``resolution`` is the identity
+    and the weights kappa_i sum to d."""
+    d = len(resolution)
+    if np.max(np.abs(resolution - np.eye(d))) > 1e-10:
+        raise ValueError("weighted vectors do not resolve the identity")
+    if abs(weights.sum() - d) > 1e-10:
+        raise ValueError(f"weights sum to {weights.sum():.12g}, expected d = {d}")
 
 
 @dataclass(frozen=True)
@@ -245,5 +249,8 @@ def frame_analyze(
     is_tight = (upper - lower) <= tol
     frame = None
     if is_tight and abs(upper - 1.0) <= tol:
-        frame = _adopt(FiniteFrame, dim, W / norms[:, None], norms * norms)._validate()
+        # kappa_i |u_i><u_i| = |w_i><w_i|, so S is the unit rows' resolution
+        weights = norms * norms
+        _check_resolution(S, weights)
+        frame = _adopt(FiniteFrame, dim, W / norms[:, None], weights)
     return FrameDiagnostics(lower, upper, is_frame, is_tight, frame)

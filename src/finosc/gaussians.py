@@ -18,7 +18,7 @@ from math import exp, lgamma, log
 import numpy as np
 
 from ._binomial import log_binomial
-from .grid import GridDim, GridFunction
+from .grid import GridDim, GridFunction, InputError
 
 __all__ = [
     "Family",
@@ -67,10 +67,10 @@ def _check_kappa(family: Family, kappa: float | None) -> float:
         if kappa is None:
             return 1.0
         if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
+            raise InputError(f"kappa must be positive, got {kappa}")
         return float(kappa)
     if kappa is not None:
-        raise ValueError(f"{family.value} takes no kappa parameter")
+        raise InputError(f"family {family.value} takes no kappa")
     return 1.0
 
 

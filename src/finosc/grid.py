@@ -28,6 +28,7 @@ __all__ = [
     "SpectralDecomposition",
     "JacobiConfig",
     "ConvergenceError",
+    "InputError",
     "inner_product",
     "fourier_operator",
     "fourier_transform",
@@ -44,6 +45,15 @@ __all__ = [
 _FOURIER_CACHE_SIZE = 16  # Fourier operators kept, one per dimension
 
 
+class InputError(ValueError):
+    """An argument outside the domain the function accepts; the CLI exits 2 on it."""
+
+
+def _check_tolerance(tol: float) -> None:
+    if not tol > 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+
+
 @dataclass(frozen=True, order=True)
 class GridDim:
     """Grid size descriptor: half-width j >= 1, giving d = 2j+1 points."""
@@ -58,7 +68,7 @@ class GridDim:
     @classmethod
     def from_size(cls, d: int) -> "GridDim":
         if d < 3 or d % 2 == 0:
-            raise ValueError(f"dimension must be odd and >= 3, got {d}")
+            raise InputError(f"dimension must be odd and >= 3, got {d}")
         return cls((d - 1) // 2)
 
     @property

@@ -24,13 +24,14 @@ from .grid import (
     DEFAULT_JACOBI,
     GridDim,
     GridFunction,
+    InputError,
     JacobiConfig,
     LinearOperator,
     SpectralDecomposition,
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _adopt, _assign, _readonly_copy, _stack, _views
+from .grid import _adopt, _assign, _check_tolerance, _readonly_copy, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -117,7 +118,7 @@ def frame_hamiltonian(dim: GridDim, family: Family | int) -> LinearOperator:
 
 def _check_deformation(alpha: float) -> float:
     if not 0.0 < alpha < 2.0:
-        raise ValueError(f"deformation exponent must lie in (0, 2), got {alpha}")
+        raise InputError(f"deformation exponent alpha must lie in (0, 2), got {alpha}")
     return float(alpha)
 
 
@@ -141,6 +142,34 @@ def deformed_harper_hamiltonian(
     return _symmetrized(0.5 * P2 + 0.5 * (Fa @ P2 @ Fa.adjoint()))
 
 
+# kind tag -> the Hamiltonian built from (dim, family, alpha)
+_BUILDERS = {
+    "fourier": lambda dim, family, alpha: fourier_hamiltonian(dim),
+    "harper": lambda dim, family, alpha: harper_hamiltonian(dim),
+    "kravchuk": lambda dim, family, alpha: kravchuk_hamiltonian(dim),
+    "frame": lambda dim, family, alpha: frame_hamiltonian(dim, family),
+    "gramschmidt": lambda dim, family, alpha: gram_schmidt_oscillator(dim, family).operator,
+    "deformed-fourier": lambda dim, family, alpha: deformed_fourier_hamiltonian(dim, alpha),
+    "deformed-harper": lambda dim, family, alpha: deformed_harper_hamiltonian(dim, alpha),
+}
+_KINDS = tuple(_BUILDERS)
+
+
+def _check_kind(kind: str, family: Family | int | None, alpha: float | None) -> str:
+    """The lower-cased kind, once it is known and given what it needs: a
+    family for frame/gramschmidt, an alpha in (0, 2) for the deformed kinds."""
+    kind = kind.lower()
+    if kind not in _BUILDERS:
+        raise InputError(f"unknown oscillator kind {kind!r}")
+    if kind in ("frame", "gramschmidt") and family is None:
+        raise InputError(f"kind {kind} requires a Gaussian family")
+    if kind.startswith("deformed-"):
+        if alpha is None:
+            raise InputError(f"kind {kind} requires a deformation exponent alpha")
+        _check_deformation(alpha)
+    return kind
+
+
 def hamiltonian(
     dim: GridDim,
     kind: str,
@@ -149,25 +178,7 @@ def hamiltonian(
 ) -> LinearOperator:
     """Dispatch by kind tag: fourier, harper, kravchuk, frame, gramschmidt,
     deformed-fourier, deformed-harper."""
-    kind = kind.lower()
-    if kind == "fourier":
-        return fourier_hamiltonian(dim)
-    if kind == "harper":
-        return harper_hamiltonian(dim)
-    if kind == "kravchuk":
-        return kravchuk_hamiltonian(dim)
-    if kind in ("frame", "gramschmidt"):
-        if family is None:
-            raise ValueError(f"kind {kind!r} requires a Gaussian family")
-        if kind == "frame":
-            return frame_hamiltonian(dim, family)
-        return gram_schmidt_oscillator(dim, family).operator
-    if kind in ("deformed-fourier", "deformed-harper"):
-        if alpha is None:
-            raise ValueError(f"kind {kind!r} requires a deformation exponent alpha")
-        builder = deformed_fourier_hamiltonian if kind == "deformed-fourier" else deformed_harper_hamiltonian
-        return builder(dim, alpha)
-    raise ValueError(f"unknown oscillator kind {kind!r}")
+    return _BUILDERS[_check_kind(kind, family, alpha)](dim, family, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +421,18 @@ class RevivalReport:
         return any(p.length == d for p in self.progressions)
 
 
+def _check_min_len(min_len: int) -> None:
+    if min_len < 3:
+        raise InputError(f"min_len must be at least 3, got {min_len}")
+
+
 def detect_revivals(
     dec: SpectralDecomposition, min_len: int = 3, tol: float = 1e-8
 ) -> RevivalReport:
     """Find all maximal runs of >= min_len consecutive eigenvalues with a
     common gap (within tol); each run carries the revival period 2 pi / gap."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if min_len < 3:
-        raise ValueError(f"min_len must be at least 3, got {min_len}")
+    _check_tolerance(tol)
+    _check_min_len(min_len)
     e = dec.eigenvalues
     found = []
     i = 0

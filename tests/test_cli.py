@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finosc import oscillators
+from finosc import checks, cli, frames, kravchuk, oscillators
 from finosc.cli import main
 from finosc.frames import coherent_family, frame_analyze
 from finosc.gaussians import Family, normalized_gaussian
@@ -77,6 +77,112 @@ def frame_check_rows(dim, family, tol):
     return [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, int(diag.is_tight))]
 
 
+def usage_case(name, argv, *names, tol_env=None):
+    return pytest.param(argv.split(), tol_env, names, id=name)
+
+
+# Each exits 2 before any computation and names its rule in stderr.
+USAGE_ERRORS = [
+    usage_case("gaussian-even-dim", "gaussian --dim 4 --family g1", "odd and >= 3"),
+    usage_case("verify-even-dim", "verify --dim 4", "odd and >= 3"),
+    usage_case("negative-kappa", "gaussian --dim 3 --family g1 --kappa -1", "kappa must be positive"),
+    usage_case("kappa-on-g4", "gaussian --dim 3 --family g4 --kappa 2", "g4 takes no kappa"),
+    usage_case(
+        "delta0-negative-kappa",
+        "wigner --dim 5 --state delta0 --kappa -1",
+        "kappa must be positive",
+    ),
+    usage_case(
+        "delta0-kappa-on-g4",
+        "wigner --dim 5 --state delta0 --family g4 --kappa 2",
+        "g4 takes no kappa",
+    ),
+    usage_case("frame-without-family", "spectrum --dim 3 --kind frame", "frame requires"),
+    usage_case(
+        "gramschmidt-without-family", "revival --dim 3 --kind gramschmidt", "gramschmidt requires"
+    ),
+    usage_case(
+        "deformed-without-alpha",
+        "spectrum --dim 5 --kind deformed-fourier",
+        "deformed-fourier requires",
+        "alpha",
+    ),
+    usage_case(
+        "alpha-out-of-range",
+        "spectrum --dim 5 --kind deformed-harper --alpha 2.5",
+        "alpha must lie in (0, 2)",
+    ),
+    usage_case("min-len-2", "revival --dim 3 --kind fourier --min-len 2", "min", "at least 3"),
+    usage_case(
+        "min-len-2-before-lanczos",
+        "revival --kind gramschmidt --family g5 --dim 25 --min-len 2",
+        "min",
+        "at least 3",
+    ),
+    usage_case("zero-tol", "spectrum --dim 3 --kind fourier --tol 0", "tolerance must be positive"),
+    usage_case(
+        "bad-env-tol",
+        "spectrum --dim 3 --kind fourier",
+        "FINOSC_TOL is not a number",
+        tol_env="not-a-number",
+    ),
+    usage_case("wigner-without-state", "wigner --dim 7", "wigner requires --family or --state delta0"),
+]
+
+# NaN and out-of-range numbers, refused by the same rules
+NUMERIC_USAGE_ERRORS = [
+    usage_case("nan-kappa", "gaussian --dim 5 --family g1 --kappa nan", "kappa must be positive"),
+    usage_case(
+        "nan-tol", "frame-check --dim 5 --family g4 --tol nan", "tolerance must be positive"
+    ),
+    usage_case(
+        "nan-tol-revival", "revival --dim 9 --kind kravchuk --tol nan", "tolerance must be positive"
+    ),
+    usage_case(
+        "nan-env-tol",
+        "frame-check --dim 5 --family g4",
+        "tolerance must be positive",
+        tol_env="nan",
+    ),
+    usage_case(
+        "negative-samples", "revival --dim 9 --kind kravchuk --samples -1", "--samples", "at least 1"
+    ),
+    usage_case(
+        "zero-samples", "revival --dim 9 --kind kravchuk --samples 0", "--samples", "at least 1"
+    ),
+    usage_case(
+        "zero-samples-svg",
+        "revival --dim 9 --kind kravchuk --samples 0 --format svg",
+        "--samples",
+        "at least 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, tol_env, names", USAGE_ERRORS + NUMERIC_USAGE_ERRORS)
+def test_usage_errors_exit_2_before_computing(capsys, monkeypatch, argv, tol_env, names):
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before the flags were checked")
+
+    for module, name in [
+        (cli, "normalized_gaussian"),
+        (cli, "wigner_map"),
+        (oscillators, "hamiltonian"),
+        (oscillators, "gram_schmidt_oscillator"),
+        (checks, "run_checks"),
+        (frames, "coherent_family"),
+        (kravchuk, "kravchuk_table"),
+    ]:
+        monkeypatch.setattr(module, name, computed)
+    if tol_env is not None:
+        monkeypatch.setenv("FINOSC_TOL", tol_env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    for name in names:
+        assert name in err
+
+
 class TestCsvBytes:
     """Every CSV command prints the bytes of per-field csv.writer formatting."""
 
@@ -144,22 +250,6 @@ class TestGaussianCommand:
         probs = {int(r[0]): float(r[2]) for r in rows}
         top = max(probs.values())
         assert probs[-7] == top and probs[7] == top
-
-    def test_negative_kappa_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "gaussian", "--dim", "3", "--family", "g1", "--kappa", "-1"
-        )
-        assert code == 2
-        assert "kappa" in err
-
-    def test_kappa_on_parameter_free_family_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "gaussian", "--dim", "3", "--family", "g4", "--kappa", "2")
-        assert code == 2
-
-    def test_even_dim_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "gaussian", "--dim", "4", "--family", "g1")
-        assert code == 2
-        assert "odd" in err
 
 
 class TestWignerCommand:

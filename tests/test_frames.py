@@ -238,6 +238,26 @@ class TestFrameAnalysis:
         with pytest.raises(ValueError):
             frame_analyze([GridFunction.delta(d3, 0), GridFunction.zero(d3)])
 
+    def test_tight_within_tol_but_off_the_identity_is_refused(self):
+        # S = (1 + 1e-7)^2 I: tight, bound 1 within tol, yet 2e-7 off the identity
+        with pytest.raises(ValueError, match="weighted vectors do not resolve the identity"):
+            frame_analyze(np.eye(3) * (1 + 1e-7), tol=1e-3)
+
+    @pytest.mark.parametrize("family", [Family.G1, Family.G4])
+    def test_frame_operator_is_summed_once(self, monkeypatch, family):
+        calls = []
+
+        def counting(rows, weights):
+            calls.append(len(rows))
+            return frame_sums(rows, weights)
+
+        frame_sums = frames._frame_sums
+        monkeypatch.setattr(frames, "_frame_sums", counting)
+        dim = GridDim.from_size(7)
+        diag = frame_analyze(coherent_family(dim, family).state_matrix() / math.sqrt(dim.d))
+        assert diag.frame is not None
+        assert calls == [dim.d**2]
+
     @pytest.mark.parametrize("bad", [np.zeros((0, 3)), np.ones(3), np.ones((2, 4))])
     def test_rejects_arrays_that_are_not_vector_systems(self, bad):
         with pytest.raises(ValueError):

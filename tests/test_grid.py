@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import finosc
 from finosc.grid import (
     ConvergenceError,
     GridDim,
     GridFunction,
+    InputError,
     JacobiConfig,
     LinearOperator,
     SpectralDecomposition,
@@ -26,13 +28,16 @@ from finosc.grid import (
 )
 from finosc import grid
 from finosc.frames import FiniteFrame, coherent_family, frame_analyze
-from finosc.gaussians import Family
+from finosc.gaussians import Family, gaussian
 from finosc.oscillators import (
+    deformed_fourier_hamiltonian,
+    detect_revivals,
     fourier_hamiltonian,
     gram_schmidt_oscillator,
     hamiltonian,
     harper_basis,
     kravchuk_functions_via_orthonormalization,
+    kravchuk_hamiltonian,
 )
 from conftest import rand_state
 
@@ -56,6 +61,53 @@ class TestGridDim:
         assert dim.wrap(3) == -2
         assert dim.wrap(-3) == 2
         assert dim.wrap(7) == 2
+
+
+class TestInputError:
+    """Each input rule of the library refuses with InputError, a ValueError."""
+
+    def test_is_a_value_error_exported_at_top_level(self):
+        assert issubclass(InputError, ValueError)
+        assert finosc.InputError is InputError
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dim: GridDim.from_size(4),
+            lambda dim: GridDim.from_size(1),
+            lambda dim: gaussian(dim, Family.G1, -1.0),
+            lambda dim: gaussian(dim, Family.G2, math.nan),
+            lambda dim: gaussian(dim, Family.G4, 2.0),
+            lambda dim: deformed_fourier_hamiltonian(dim, 2.5),
+            lambda dim: hamiltonian(dim, "frame"),
+            lambda dim: hamiltonian(dim, "gramschmidt"),
+            lambda dim: hamiltonian(dim, "deformed-harper"),
+            lambda dim: hamiltonian(dim, "deformed-fourier", alpha=0.0),
+            lambda dim: hamiltonian(dim, "no-such-kind"),
+            lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=0.0),
+            lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=math.nan),
+            lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), min_len=2),
+        ],
+        ids=[
+            "even-dim",
+            "dim-1",
+            "negative-kappa",
+            "nan-kappa",
+            "kappa-on-g4",
+            "alpha-out-of-range",
+            "frame-without-family",
+            "gramschmidt-without-family",
+            "deformed-without-alpha",
+            "alpha-zero",
+            "unknown-kind",
+            "zero-tol",
+            "nan-tol",
+            "min-len-2",
+        ],
+    )
+    def test_library_rules_raise_input_error(self, call):
+        with pytest.raises(InputError):
+            call(GridDim.from_size(5))
 
 
 class TestInnerProduct:
