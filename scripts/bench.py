@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk, frames and spectrum layers of one or more source trees
-of finosc.
+"""Time the Kravchuk, frames, spectrum and Wigner layers of one or more
+source trees of finosc.
 
-Seven cells are timed at each dimension, every run with the Kravchuk and
-coherent-family caches cleared first:
+Eight cells are timed at each dimension, every run with the Kravchuk,
+coherent-family and Gaussian caches cleared first:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
 * ``check_kravchuk``: the Kravchuk identity checks that ``finosc verify`` runs;
@@ -16,7 +16,9 @@ coherent-family caches cleared first:
 * ``frame_hamiltonian``: quantizing the harmonic symbol over the g1 coherent
   family (``frame_hamiltonian(dim, 1)``);
 * ``cli_spectrum``: ``finosc spectrum --kind harper --dim d`` writing its CSV
-  to a file.
+  to a file;
+* ``cli_wigner``: ``finosc wigner --family g1 --kappa 1 --dim d`` writing its
+  CSV to a file.
 
 Each (tree, cell, d) runs in a fresh worker process that imports finosc from
 that tree, so each records its own resident high-water mark (VmHWM). The
@@ -53,6 +55,7 @@ CELLS = (
     "cli_frame_check",
     "frame_hamiltonian",
     "cli_spectrum",
+    "cli_wigner",
 )
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEAT = 3
@@ -79,7 +82,7 @@ def run_cell(cell: str, d: int) -> None:
 
     limit = MEMORY_LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    from finosc import checks, frames, kravchuk, oscillators
+    from finosc import checks, frames, gaussians, kravchuk, oscillators
     from finosc.cli import main as cli
     from finosc.grid import GridDim
 
@@ -90,6 +93,7 @@ def run_cell(cell: str, d: int) -> None:
             kravchuk.kravchuk_table.cache_clear()
             kravchuk.su2_generators.cache_clear()
             frames.coherent_family.cache_clear()
+            gaussians._gaussian_cached.cache_clear()
             start = time.perf_counter()
             if cell == "kravchuk_table":
                 kravchuk.kravchuk_table(dim)
@@ -104,6 +108,8 @@ def run_cell(cell: str, d: int) -> None:
                 status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
             elif cell == "cli_spectrum":
                 status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
+            elif cell == "cli_wigner":
+                status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
             else:
                 status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
             seconds = time.perf_counter() - start

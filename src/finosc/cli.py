@@ -95,18 +95,45 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _index_pairs(dim: GridDim) -> tuple[list[int], list[int]]:
-    """Row and column index of every entry of a d x d array, in row-major order."""
-    ns = dim.indices()
-    return np.repeat(ns, dim.d).tolist(), np.tile(ns, dim.d).tolist()
-
-
 def _write_csv(cfg: RunConfig, header: list[str], row_format: str, rows) -> None:
     """Write the header and one line ``row_format % row`` per row, streamed.
     Fields are integers (``%d``), floats (``%.17g``) or empty, so none needs
     CSV quoting."""
     lines = map((row_format + "\n").__mod__, rows)
     _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
+
+
+def _format_floats(a: np.ndarray) -> np.ndarray:
+    """``"%.17g" % x`` for every entry x of the float array ``a``, as an object
+    array of its shape.  Each distinct bit pattern is formatted once; keying on
+    bits, not values, keeps -0.0 apart from 0.0."""
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse.reshape(a.shape)]
+
+
+def _write_grid_csv(cfg: RunConfig, header: list[str], *tables: np.ndarray) -> None:
+    """Write d x d tables as one line ``n,m,t1[n,m],t2[n,m],...`` per grid
+    point in row-major order, the same bytes as ``_write_csv`` with
+    ``"%d,%d,%.17g,..."``, streamed one grid row per chunk."""
+    labels = [f"{n}," for n in cfg.dim.indices().tolist()]
+    texts = [_format_floats(t) for t in tables]
+    d, stride = len(labels), 2 + 2 * len(texts)
+    # the pieces of one grid row: d lines of [row label, column label, value,
+    # ",", ..., value, "\n"]; only the row label and the values change per row
+    pieces = [","] * (stride * d)
+    pieces[1::stride] = labels
+    pieces[stride - 1 :: stride] = ["\n"] * d
+
+    def rows():
+        for r, label in enumerate(labels):
+            pieces[::stride] = [label] * d
+            for k, text in enumerate(texts):
+                pieces[2 + 2 * k :: stride] = text[r].tolist()
+            yield "".join(pieces)
+
+    _write_text(cfg, itertools.chain([",".join(header) + "\n"], rows()))
 
 
 def _write_text(cfg: RunConfig, text) -> None:
@@ -153,11 +180,11 @@ def _svg_heatmap(matrix: np.ndarray) -> str:
     w = h = cell * d
     lo, hi = float(matrix.min()), float(matrix.max())
     shades = (255 * (1 - (matrix - lo) / max(hi - lo, 1e-300))).astype(int)
-    body = [
-        f'<rect x="{c * cell}" y="{(d - 1 - r) * cell}" width="{cell}" height="{cell}" '
-        f'fill="rgb({shade},{shade},255)"/>'
-        for (r, c), shade in np.ndenumerate(shades)
-    ]
+    xs = [f'<rect x="{c * cell}" y="' for c in range(d)]
+    body = []
+    for r, row in enumerate(shades.tolist()):
+        y = f'{(d - 1 - r) * cell}" width="{cell}" height="{cell}" fill="rgb('
+        body += [f'{x}{y}{shade},{shade},255)"/>' for x, shade in zip(xs, row)]
     return _svg_document(w, h, body)
 
 
@@ -220,8 +247,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
     if cfg.fmt == "svg":
         _write_text(cfg, _svg_heatmap(W.values))
         return 0
-    n, m = _index_pairs(cfg.dim)
-    _write_csv(cfg, ["n", "m", "w"], "%d,%d,%.17g", zip(n, m, W.values.ravel().tolist()))
+    _write_grid_csv(cfg, ["n", "m", "w"], W.values)
     return 0
 
 
@@ -278,9 +304,7 @@ def _cmd_revival(cfg: RunConfig) -> int:
 
 def _cmd_kravchuk_table(cfg: RunConfig) -> int:
     table = kravchuk.kravchuk_table(cfg.dim)
-    m, n = _index_pairs(cfg.dim)
-    rows = zip(m, n, table.poly.ravel().tolist(), table.func.ravel().tolist())
-    _write_csv(cfg, ["m", "n", "poly", "func"], "%d,%d,%.17g,%.17g", rows)
+    _write_grid_csv(cfg, ["m", "n", "poly", "func"], table.poly, table.func)
     return 0
 
 

@@ -20,6 +20,7 @@ from .gaussians import Family, normalized_gaussian
 from .grid import (
     GridDim,
     GridFunction,
+    InputError,
     JacobiConfig,
     DEFAULT_JACOBI,
     LinearOperator,
@@ -63,7 +64,7 @@ def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
     commute up to the phase e^{-2 pi i ab/d}.
     """
     if which not in ("A", "B"):
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+        raise InputError(f"which must be 'A' or 'B', got {which!r}")
     if which == "A":
         return _monomial(dim, int(power), np.ones(dim.d, dtype=complex))
     return _monomial(dim, 0, _modulation(dim, power))
@@ -149,7 +150,7 @@ def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
     in ``quantize``, summed over k of e^{-2 pi i beta k/d} sum_n G*(n-alpha) G(n-k-alpha) M[n, n-k].
     """
     if M.dim != family.dim:
-        raise ValueError(f"dimension mismatch: {M.dim} vs {family.dim}")
+        raise InputError(f"dimension mismatch: {M.dim} vs {family.dim}")
     f = 0
     for phases, cols, P in _cyclic_diagonals(family):
         f = f + np.outer(P.conj() @ M.matrix[np.arange(family.dim.d), cols], phases.conj())

@@ -51,7 +51,7 @@ class Family(Enum):
         try:
             return cls(label.lower())
         except ValueError:
-            raise ValueError(f"unknown Gaussian family {label!r}; expected g1..g5") from None
+            raise InputError(f"unknown Gaussian family {label!r}; expected g1..g5") from None
 
     @property
     def has_kappa(self) -> bool:
@@ -106,9 +106,9 @@ def theta(kind: int, z: complex, tau: complex) -> complex:
     vanish long before the tail is negligible.
     """
     if kind not in (2, 3, 4):
-        raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
+        raise InputError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not complex(tau).imag > 0:
-        raise ValueError("theta requires Im(tau) > 0")
+        raise InputError("theta requires Im(tau) > 0")
     z = complex(z)
     tau = complex(tau)
     decay = math.pi * tau.imag

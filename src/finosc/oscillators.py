@@ -112,7 +112,7 @@ def frame_hamiltonian(dim: GridDim, family: Family | int) -> LinearOperator:
     the i-th normalized Gaussian.  The spectrum already carries the harmonic
     zero-point offset; no additive constant is applied.
     """
-    fam = Family(f"g{family}") if isinstance(family, int) else family
+    fam = Family.from_label(f"g{family}") if isinstance(family, int) else family
     return _symmetrized(quantize(coherent_family(dim, fam), lambda a, b: (a * a + b * b) / 2.0))
 
 
@@ -360,7 +360,7 @@ def orthonormal_functions_for_weight(
 def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOscillator:
     """Oscillator with ground state G_i: phi_m = G_i * Phi_m for the polynomials
     orthonormal under the weight G_i^2, and H = sum (j+m+1/2) |phi_m><phi_m|."""
-    fam = Family(f"g{family}") if isinstance(family, int) else family
+    fam = Family.from_label(f"g{family}") if isinstance(family, int) else family
     G = normalized_gaussian(dim, fam).values.real
     funcs, min_beta = orthonormal_functions_for_weight(dim, G * G, G)
     Phi = np.column_stack(funcs)

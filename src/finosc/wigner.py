@@ -42,7 +42,9 @@ class WignerMap:
 
 
 def wigner(psi: GridFunction, imag_tol: float = 1e-12) -> WignerMap:
-    """The Wigner map of a state; imaginary residue must stay below imag_tol."""
+    """The Wigner map of a finite state; imaginary residue must stay below imag_tol."""
+    if not np.all(np.isfinite(psi.values)):
+        raise ValueError("state has non-finite entries")
     dim = psi.dim
     j, d = dim.j, dim.d
     n = dim.indices()

@@ -77,6 +77,68 @@ def frame_check_rows(dim, family, tol):
     return [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, int(diag.is_tight))]
 
 
+def lines(text):
+    """Lines with their ends, so that a mismatch in a long text is reported
+    at its first differing line instead of by a full text diff."""
+    return text.splitlines(keepends=True)
+
+
+def row_format_grid_csv(header, dim, *tables):
+    """The CSV text of d x d tables written one ``"%d,%d,%.17g,..."`` format
+    per grid point, from index lists built with repeat and tile."""
+    ns = dim.indices()
+    n, m = np.repeat(ns, dim.d).tolist(), np.tile(ns, dim.d).tolist()
+    rows = zip(n, m, *(t.ravel().tolist() for t in tables))
+    row_format = "%d,%d" + ",%.17g" * len(tables) + "\n"
+    return ",".join(header) + "\n" + "".join(row_format % row for row in rows)
+
+
+def ndenumerate_heatmap(matrix):
+    """The SVG heatmap document with one rect per entry from np.ndenumerate."""
+    d = matrix.shape[0]
+    cell = max(4, 320 // d)
+    w = h = cell * d
+    lo, hi = float(matrix.min()), float(matrix.max())
+    shades = (255 * (1 - (matrix - lo) / max(hi - lo, 1e-300))).astype(int)
+    body = [
+        f'<rect x="{c * cell}" y="{(d - 1 - r) * cell}" width="{cell}" height="{cell}" '
+        f'fill="rgb({shade},{shade},255)"/>'
+        for (r, c), shade in np.ndenumerate(shades)
+    ]
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
+    return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+def grid_config(dim, out=None):
+    return cli.RunConfig(
+        command="wigner", dim=dim, family=None, kappa=None, kind=None, alpha=None, state=None,
+        seed=None, samples=None, tol=1e-10, min_len=None, out=out, fmt="csv",
+    )
+
+
+# float64 values whose text is easy to get wrong when formatting by distinct value:
+# both zeros, NaNs with different sign and payload bits, infinities, subnormals
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0001]
+SPECIALS = np.concatenate(
+    [[0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0, 1.0], np.array(NAN_BITS, dtype=np.uint64).view(float)]
+)
+
+
+def mixed_table(d, seed):
+    """A d x d table of all-distinct random values over many decades, with
+    every special value and runs of repeated values planted in it."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-300, 300, size=(d, d))
+    flat = t.reshape(-1)
+    planted = np.roll(SPECIALS, -3 * seed)[: d * d]
+    flat[rng.permutation(d * d)[: len(planted)]] = planted
+    if d > 3:
+        t[d // 2, :: 2] = -0.0
+        t[d // 2, 1::2] = 0.0
+        t[:, 0] = 0.1
+    return t
+
+
 def usage_case(name, argv, *names, tol_env=None):
     return pytest.param(argv.split(), tol_env, names, id=name)
 
@@ -227,6 +289,63 @@ class TestCsvBytes:
         _, out, _ = run_cli(capsys, "wigner", "--dim", "5", "--state", "delta0")
         rows = [(n, m, W.value(n, m)) for n in ns for m in ns]
         assert out == per_field_csv(["n", "m", "w"], rows)
+
+
+class TestGridWriters:
+    """The grid CSV writer and the heatmap give the bytes of the per-entry
+    references above, for any float64 table."""
+
+    @pytest.mark.parametrize("d", [3, 201])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_grid_csv_matches_row_format_reference(self, capsys, d, columns):
+        dim = GridDim.from_size(d)
+        tables = [mixed_table(d, seed) for seed in range(columns)]
+        header = ["n", "m", "a", "b"][: 2 + columns]
+        cli._write_grid_csv(grid_config(dim), header, *tables)
+        assert lines(capsys.readouterr().out) == lines(row_format_grid_csv(header, dim, *tables))
+
+    def test_grid_csv_to_file(self, tmp_path):
+        dim = GridDim.from_size(31)
+        tables = [mixed_table(31, 7), mixed_table(31, 8)]
+        out = tmp_path / "sub" / "t.csv"
+        cli._write_grid_csv(grid_config(dim, out), ["m", "n", "poly", "func"], *tables)
+        assert lines(out.read_text()) == lines(row_format_grid_csv(["m", "n", "poly", "func"], dim, *tables))
+
+    def test_grid_csv_signed_zeros_and_nans(self, capsys):
+        dim = GridDim.from_size(3)
+        t = SPECIALS[[0, 1, 2, 3, 4, 5, 8, 9, 10]].reshape(3, 3)
+        cli._write_grid_csv(grid_config(dim), ["n", "m", "w"], t)
+        values = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]
+        subnormals = ["4.9406564584124654e-324", "-2.5000000000000171e-310"]
+        assert values == ["0", "-0", "inf", "-inf", *subnormals, "nan", "nan", "nan"]
+
+    def test_grid_csv_streams_one_grid_row_per_chunk(self, monkeypatch):
+        dim = GridDim.from_size(7)
+        chunks = []
+        monkeypatch.setattr(cli, "_write_text", lambda cfg, text: chunks.extend(text))
+        cli._write_grid_csv(grid_config(dim), ["n", "m", "w"], mixed_table(7, 1))
+        assert chunks[0] == "n,m,w\n"
+        assert [c.count("\n") for c in chunks[1:]] == [7] * 7
+        assert [c.split(",", 1)[0] for c in chunks[1:]] == [str(n) for n in dim.indices()]
+
+    def test_format_floats_formats_each_entry(self):
+        t = mixed_table(9, 3)
+        text = cli._format_floats(t)
+        assert text.shape == t.shape and text.dtype == object
+        assert text.tolist() == [["%.17g" % x for x in row] for row in t.tolist()]
+
+    @pytest.mark.parametrize("d", [3, 101])
+    def test_heatmap_matches_ndenumerate_reference(self, d):
+        M = np.random.default_rng(d).normal(size=(d, d))
+        assert lines(cli._svg_heatmap(M)) == lines(ndenumerate_heatmap(M))
+
+    def test_heatmap_of_a_wigner_map(self):
+        W = wigner(normalized_gaussian(GridDim.from_size(101), Family.G3, 1.3)).values
+        assert lines(cli._svg_heatmap(W)) == lines(ndenumerate_heatmap(W))
+
+    def test_heatmap_of_a_constant_matrix(self):
+        M = np.full((5, 5), -0.25)
+        assert cli._svg_heatmap(M) == ndenumerate_heatmap(M)
 
 
 class TestGaussianCommand:

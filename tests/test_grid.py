@@ -27,12 +27,13 @@ from finosc.grid import (
     parity_operator,
 )
 from finosc import grid
-from finosc.frames import FiniteFrame, coherent_family, frame_analyze
-from finosc.gaussians import Family, gaussian
+from finosc.frames import FiniteFrame, coherent_family, dequantize, frame_analyze, schwinger
+from finosc.gaussians import Family, gaussian, theta
 from finosc.oscillators import (
     deformed_fourier_hamiltonian,
     detect_revivals,
     fourier_hamiltonian,
+    frame_hamiltonian,
     gram_schmidt_oscillator,
     hamiltonian,
     harper_basis,
@@ -87,6 +88,13 @@ class TestInputError:
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=0.0),
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=math.nan),
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), min_len=2),
+            lambda dim: Family.from_label("g6"),
+            lambda dim: frame_hamiltonian(dim, 6),
+            lambda dim: gram_schmidt_oscillator(dim, 6),
+            lambda dim: schwinger(dim, "C"),
+            lambda dim: theta(5, 0.0, 1j),
+            lambda dim: theta(3, 0.0, -1j),
+            lambda dim: dequantize(coherent_family(dim, Family.G4), LinearOperator.identity(GridDim(1))),
         ],
         ids=[
             "even-dim",
@@ -103,6 +111,13 @@ class TestInputError:
             "zero-tol",
             "nan-tol",
             "min-len-2",
+            "unknown-family-label",
+            "frame-hamiltonian-family-6",
+            "gram-schmidt-family-6",
+            "schwinger-tag",
+            "theta-kind",
+            "theta-lower-half-plane",
+            "dequantize-dimension-mismatch",
         ],
     )
     def test_library_rules_raise_input_error(self, call):

@@ -40,6 +40,13 @@ class TestDefiningSum:
         psi = rand_state(d7, 5)
         assert wigner(psi).total() == pytest.approx(psi.norm() ** 2, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_state_is_refused(self, d7, bad):
+        v = rand_state(d7, 5).values.copy()
+        v[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            wigner(GridFunction(d7, v))
+
 
 class TestMarginals:
     @settings(max_examples=20, deadline=None)
