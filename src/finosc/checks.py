@@ -36,6 +36,7 @@ from .grid import (
     operator_exponential,
     parity_operator,
 )
+from .grid import _phase
 
 __all__ = ["CheckResult", "run_checks", "GOLDEN_DIM"]
 
@@ -363,7 +364,7 @@ def _schwinger_relations(dim: GridDim) -> CheckResult:
         return _result("schwinger-relations", float("inf"), 1e-12)
     cb, vb = (np.array(x) for x in zip(*B))  # [b + j, n + j], every b at once
     for a, (ca, va) in zip(n, A):
-        rhs = np.exp(-2j * np.pi * (a * n % d) / d)[:, None] * (vb * va[cb])
+        rhs = _phase(d, -2 * a * n)[:, None] * (vb * va[cb])
         err = max(err, float(np.max(np.abs(va * vb[:, ca] - rhs))))
         err = err if np.array_equal(cb[:, ca], ca[cb]) else float("inf")
     return _result("schwinger-relations", err, 1e-12)
@@ -380,7 +381,7 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
     F = fourier_operator(dim)
     for (a1, b1) in labels:
         for (a2, b2) in labels:
-            phase = np.exp(-1j * np.pi * (a1 * b2 - a2 * b1) / d)
+            phase = _phase(d, a2 * b1 - a1 * b2)
             err = max(err, _op_err(D(a1, b1) @ D(a2, b2), phase * D(a1 + a2, b1 + b2)))
         err = max(err, _op_err(F @ D(a1, b1) @ F.adjoint(), D(b1, -a1)))
     out.append(_result("displacement-composition-and-rotation", err, 1e-12))

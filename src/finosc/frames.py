@@ -26,7 +26,7 @@ from .grid import (
     LinearOperator,
     hermitian_eigenvalues,
 )
-from .grid import _adopt, _assign, _readonly_copy, _stack, _views
+from .grid import _adopt, _assign, _phase, _readonly_copy, _stack, _views
 
 __all__ = [
     "schwinger",
@@ -51,23 +51,16 @@ def _monomial(dim: GridDim, shift: int, entries: np.ndarray) -> LinearOperator:
     return _adopt(LinearOperator, dim, m)
 
 
-def _modulation(dim: GridDim, power: int) -> np.ndarray:
-    """e^{2 pi i n power/d} for n = -j..j, the exponent n power reduced mod d
-    first so that its rounding does not grow with d or with the power."""
-    return np.exp(2j * np.pi * (dim.indices() * (int(power) % dim.d) % dim.d) / dim.d)
-
-
 def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
-    """Power of the cyclic shift A ((A psi)(n) = psi(n-1)) or modulation B.
+    """Power of the cyclic shift A ((A psi)(n) = psi(n-1)) or modulation B
+    ((B psi)(n) = e^{2 pi i n/d} psi(n)), as A^a = D(a, 0) and B^b = D(0, b).
 
     The power is taken mod d, so A^d = B^d = identity exactly; A and B
     commute up to the phase e^{-2 pi i ab/d}.
     """
     if which not in ("A", "B"):
         raise InputError(f"which must be 'A' or 'B', got {which!r}")
-    if which == "A":
-        return _monomial(dim, int(power), np.ones(dim.d, dtype=complex))
-    return _monomial(dim, 0, _modulation(dim, power))
+    return displacement(dim, power, 0) if which == "A" else displacement(dim, 0, power)
 
 
 def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
@@ -79,8 +72,8 @@ def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
     D(alpha + d, beta) = (-1)^beta D(alpha, beta), so reducing a label mod d
     can flip the overall sign.
     """
-    B = _modulation(dim, beta)
-    return np.exp(1j * np.pi * alpha * beta / dim.d) * _monomial(dim, int(alpha), B)
+    B = _phase(dim.d, 2 * dim.indices() * (int(beta) % dim.d))
+    return _monomial(dim, int(alpha), _phase(dim.d, int(alpha) * int(beta)) * B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +90,8 @@ class CoherentFamily:
         """|alpha,beta> for broadcast label arrays, as an array [..., n + j]."""
         j, d, n = self.dim.j, self.dim.d, self.dim.indices()
         a, b = ((np.asarray(x)[..., None] + j) % d - j for x in (alpha, beta))
-        states = np.exp(-1j * np.pi * (a * b) / d) * self.fiducial.values[(n - a + j) % d]
-        states *= np.exp(2j * np.pi * (b * n) / d)
+        states = _phase(d, -a * b) * self.fiducial.values[(n - a + j) % d]
+        states *= _phase(d, 2 * b * n)
         return states
 
     def state(self, alpha: int, beta: int) -> GridFunction:
@@ -123,7 +116,7 @@ def _cyclic_diagonals(family: CoherentFamily):
     G = family.fiducial.values[(i - i[:, None] + dim.j) % dim.d]  # [alpha + j, n + j] = G(n - alpha)
     for k in range(dim.d):
         cols = (i - k) % dim.d
-        yield np.exp(2j * np.pi * dim.indices() * k / dim.d), cols, G * G[:, cols].conj()
+        yield _phase(dim.d, 2 * k * dim.indices()), cols, G * G[:, cols].conj()
 
 
 def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> LinearOperator:

@@ -268,11 +268,17 @@ def inner_product(phi: GridFunction, psi: GridFunction) -> complex:
     return complex(np.vdot(phi.values, psi.values))
 
 
+def _phase(d: int, m):
+    """e^{i pi m/d} for integers m (an array or any Python int), gathered from
+    the 2d roots at m mod 2d, so its rounding does not grow with |m|."""
+    return np.exp(1j * np.pi * np.arange(2 * d) / d)[m % (2 * d)]
+
+
 @lru_cache(maxsize=_FOURIER_CACHE_SIZE)
 def fourier_operator(dim: GridDim) -> LinearOperator:
     """The unitary discrete Fourier transform F[psi](k) = d^{-1/2} sum_n e^{-2pi i kn/d} psi(n)."""
     n = dim.indices()
-    return _adopt(LinearOperator, dim, np.exp(-2j * np.pi * np.outer(n, n) / dim.d) / np.sqrt(dim.d))
+    return _adopt(LinearOperator, dim, _phase(dim.d, -2 * np.outer(n, n)) / np.sqrt(dim.d))
 
 
 def fourier_transform(psi: GridFunction) -> GridFunction:

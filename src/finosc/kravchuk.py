@@ -23,7 +23,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .grid import GridDim, GridFunction, LinearOperator, _adopt, _readonly_copy
+from .grid import GridDim, GridFunction, InputError, LinearOperator, _adopt, _readonly_copy
 
 __all__ = [
     "KravchukTable",
@@ -42,7 +42,7 @@ _KRAVCHUK_CACHE_SIZE = 16  # tables, and generator sets, kept per dimension
 
 def _check_index(dim: GridDim, value: int, name: str) -> int:
     if not -dim.j <= value <= dim.j:
-        raise ValueError(f"{name}={value} outside the grid range [-{dim.j}, {dim.j}]")
+        raise InputError(f"{name}={value} outside the grid range [-{dim.j}, {dim.j}]")
     return int(value)
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import Family, gaussian
-from .grid import GridDim, GridFunction, _readonly_copy, fourier_transform
+from .gaussians import Family, _check_kappa, gaussian
+from .grid import GridDim, GridFunction, InputError, _readonly_copy, fourier_transform
 
 __all__ = [
     "WignerMap",
@@ -53,6 +53,7 @@ def wigner(psi: GridFunction, imag_tol: float = 1e-12) -> WignerMap:
     minus = (i[:, None] - i[None, :] + j) % d
     plus = (i[:, None] + i[None, :] - j) % d
     corr = psi.values[minus] * np.conj(psi.values[plus])
+    # unreduced, unlike grid._phase: reduced, W has nearly twice the distinct floats the CSV formats
     kernel = np.exp(4j * np.pi * np.outer(n, n) / d)  # kernel[i_m, i_k], grid values
     W = corr @ kernel.T / d
     residue = float(np.max(np.abs(W.imag)))
@@ -86,9 +87,8 @@ def wigner_product_decomposition(dim: GridDim, family: Family, kappa: float) -> 
     by 1/sqrt(2 kappa d).  Matches wigner(gaussian(...)) entrywise.
     """
     if family not in _SIGNS:
-        raise ValueError(f"product decomposition applies to g1, g2, g3 only, got {family.value}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+        raise InputError(f"product decomposition applies to g1, g2, g3 only, got {family.value}")
+    kappa = _check_kappa(family, kappa)
     s = _SIGNS[family]
     a1 = gaussian(dim, Family.G1, 2.0 * kappa).values.real
     a2 = gaussian(dim, Family.G2, 2.0 * kappa).values.real

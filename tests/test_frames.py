@@ -335,9 +335,10 @@ class TestFrameAnalysis:
 
 
 # --- the dense and tensor constructions that the structured ones replaced,
-# kept as references: schwinger/displacement as dense products (the B phase
-# from the exponent n * power reduced mod d), the coherent family as the d^3
-# tensor of all states, and both maps summed over it
+# kept as references: schwinger/displacement as dense products, the coherent
+# family as the d^3 tensor of all states, and both maps summed over it.  Each
+# phase e^{i pi m/d} takes its exponent reduced first (m mod 2d, or mod d for
+# an even m = 2k), written out here rather than through grid._phase
 
 
 def dense_schwinger(dim, which, power):
@@ -351,12 +352,46 @@ def dense_schwinger(dim, which, power):
 
 
 def dense_displacement(dim, alpha, beta):
-    product = dense_schwinger(dim, "A", alpha) @ dense_schwinger(dim, "B", beta)
-    return product * np.exp(1j * np.pi * alpha * beta / dim.d)
+    """A^alpha (e^{i pi alpha beta/d} B^beta), the phase taken onto the diagonal of B^beta."""
+    phase = np.exp(1j * np.pi * np.int64((alpha * beta) % (2 * dim.d)) / dim.d)
+    B = np.diag(dense_schwinger(dim, "B", beta))
+    return dense_schwinger(dim, "A", alpha) @ np.diag(phase * B)
 
 
 def tensor_states(fam):
     """[alpha + j, beta + j, n + j] = e^{-i pi alpha beta/d} e^{2 pi i beta n/d} G(n - alpha)."""
+    dim = fam.dim
+    j, d, n, i = dim.j, dim.d, dim.indices(), np.arange(dim.d)
+    shifted = fam.fiducial.values[(i[None, :] - i[:, None] + j) % d]
+    mod = np.exp(2j * np.pi * (np.outer(n, n) % d) / d)
+    pre = np.exp(1j * np.pi * (-np.outer(n, n) % (2 * d)) / d)
+    return pre[:, :, None] * shifted[:, None, :] * mod[None, :, :]
+
+
+# --- the same references with unreduced exponents, as the library formed them
+# before every phase went through grid._phase; they agree only to the rounding
+# of the phase argument, which grows with |m|
+
+EPS = np.finfo(float).eps
+
+
+def phase_rounding(d, m):
+    """A bound on |e^{i pi m/d} from the unreduced m - from m mod 2d|.
+
+    fl(pi m/d) takes at most four roundings (pi, two products, the quotient),
+    each relative u = eps/2, so its argument is off by at most 2 eps pi |m|/d;
+    the reduced side adds the same for an exponent below 2d, and exp about an
+    ulp on each side.
+    """
+    return EPS * (2 * np.pi * (np.abs(m) + 2 * d) / d + 4)
+
+
+def unreduced_dense_displacement(dim, alpha, beta):
+    product = dense_schwinger(dim, "A", alpha) @ dense_schwinger(dim, "B", beta)
+    return product * np.exp(1j * np.pi * alpha * beta / dim.d)
+
+
+def unreduced_tensor_states(fam):
     dim = fam.dim
     j, d, n, i = dim.j, dim.d, dim.indices(), np.arange(dim.d)
     shifted = fam.fiducial.values[(i[None, :] - i[:, None] + j) % d]
@@ -415,6 +450,29 @@ class TestStructuredWeylHeisenberg:
             for beta in far_labels(d):
                 expected = tensor[(alpha + dim.j) % d, (beta + dim.j) % d]
                 assert np.array_equal(fam.state(alpha, beta).values, expected)
+
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_displacement_within_phase_rounding_of_unreduced_form(self, d):
+        dim = GridDim.from_size(d)
+        for alpha in far_labels(d):
+            for beta in far_labels(d):
+                got = displacement(dim, alpha, beta).matrix
+                # unit entries; the B phase is reduced on both sides, and the product rounds
+                bound = phase_rounding(d, alpha * beta) + 4 * EPS
+                assert np.max(np.abs(got - unreduced_dense_displacement(dim, alpha, beta))) <= bound
+
+    @pytest.mark.parametrize("family", [Family.G1, Family.G4])
+    @pytest.mark.parametrize("d", [3, 7, 101])
+    def test_states_within_phase_rounding_of_unreduced_form(self, d, family):
+        """|alpha,beta>(n) carries the phases m = -alpha beta and 2 beta n."""
+        dim = GridDim.from_size(d)
+        fam = coherent_family(dim, family)
+        n = dim.indices()
+        a, b = n[:, None, None], n[None, :, None]
+        G = np.abs(fam.fiducial.values[(n - a + dim.j) % d])
+        bound = G * (phase_rounding(d, a * b) + phase_rounding(d, 2 * b * n) + 4 * EPS)
+        err = np.abs(fam.state_matrix().reshape(d, d, d) - unreduced_tensor_states(fam))
+        assert np.all(err <= bound)
 
     @pytest.mark.parametrize("d", [3, 7, 31, 61, 101])
     def test_maps_agree_with_tensor_formula(self, d):

@@ -26,7 +26,7 @@ from finosc.grid import (
     outer,
     parity_operator,
 )
-from finosc import grid
+from finosc import checks, grid
 from finosc.frames import FiniteFrame, coherent_family, dequantize, frame_analyze, schwinger
 from finosc.gaussians import Family, gaussian, theta
 from finosc.oscillators import (
@@ -40,6 +40,8 @@ from finosc.oscillators import (
     kravchuk_functions_via_orthonormalization,
     kravchuk_hamiltonian,
 )
+from finosc.kravchuk import kravchuk_function, kravchuk_function_hypergeometric, kravchuk_polynomial
+from finosc.wigner import wigner_product_decomposition
 from conftest import rand_state
 
 odd_dims = st.integers(min_value=1, max_value=12).map(lambda j: GridDim(j))
@@ -95,6 +97,12 @@ class TestInputError:
             lambda dim: theta(5, 0.0, 1j),
             lambda dim: theta(3, 0.0, -1j),
             lambda dim: dequantize(coherent_family(dim, Family.G4), LinearOperator.identity(GridDim(1))),
+            lambda dim: wigner_product_decomposition(dim, Family.G4, 1.0),
+            lambda dim: wigner_product_decomposition(dim, Family.G1, -1.0),
+            lambda dim: wigner_product_decomposition(dim, Family.G2, 0.0),
+            lambda dim: kravchuk_polynomial(dim, 7, 0),
+            lambda dim: kravchuk_function(dim, 0, -3),
+            lambda dim: kravchuk_function_hypergeometric(dim, 3, 0),
         ],
         ids=[
             "even-dim",
@@ -118,6 +126,12 @@ class TestInputError:
             "theta-kind",
             "theta-lower-half-plane",
             "dequantize-dimension-mismatch",
+            "wigner-product-family-g4",
+            "wigner-product-negative-kappa",
+            "wigner-product-zero-kappa",
+            "kravchuk-polynomial-m-7",
+            "kravchuk-function-n-minus-3",
+            "kravchuk-hypergeometric-m-3",
         ],
     )
     def test_library_rules_raise_input_error(self, call):
@@ -233,6 +247,42 @@ class TestConvolution:
         lhs = fourier_transform(convolve(phi, psi)).values
         rhs = math.sqrt(d15.d) * fourier_transform(phi).values * fourier_transform(psi).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+class TestReducedFourierPhase:
+    """F[n, k] = e^{-2 pi i nk/d}/sqrt(d) takes its phase at nk mod d."""
+
+    @pytest.mark.parametrize("d", [101, 401])
+    def test_entries_equal_bit_for_bit_on_equal_residues(self, d):
+        dim = GridDim.from_size(d)
+        n, j = dim.indices(), dim.j
+        F = fourier_operator(dim).matrix
+        # F[1, nk mod d] shares the residue of F[n, k]
+        same_residue = F[j + 1][(np.outer(n, n) + j) % d]
+        assert np.array_equal(F.view(np.uint64), same_residue.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [107, 197, 201])
+    def test_fourier_algebra_checks_pass(self, d):
+        results = checks._check_fourier_algebra(GridDim.from_size(d))
+        assert [r.name for r in results if not r.passed] == []
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # the sqrt(d) factor dropped: F(phi * psi)/sqrt(d) against sqrt(d) (F phi)(F psi)
+            lambda phi, psi: convolve(phi, psi) / math.sqrt(phi.dim.d),
+            # the left side transformed with the sign of the DFT flipped
+            lambda phi, psi: convolve(phi, psi).reflected(),
+            # the convolution index shifted by one, psi(n - m - 1)
+            lambda phi, psi: GridFunction(phi.dim, np.roll(convolve(phi, psi).values, 1)),
+        ],
+        ids=["sqrt-d-dropped", "dft-sign-flipped", "index-shifted"],
+    )
+    @pytest.mark.parametrize("d", [107, 197, 201])
+    def test_factorization_check_fails_on_mutants(self, d, mutant, monkeypatch):
+        monkeypatch.setattr(checks, "convolve", mutant)
+        results = {r.name: r for r in checks._check_fourier_algebra(GridDim.from_size(d))}
+        assert not results["convolution-fourier-factorization"].passed
 
 
 def random_hermitian(dim: GridDim, seed: int) -> LinearOperator:
