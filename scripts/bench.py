@@ -2,8 +2,8 @@
 """Time the Kravchuk, frames, spectrum and Wigner layers of one or more
 source trees of finosc.
 
-Eight cells are timed at each dimension, every run with the Kravchuk,
-coherent-family and Gaussian caches cleared first:
+Eight cells are timed at each dimension, every run starting from empty
+Kravchuk, coherent-family and Gaussian caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
 * ``check_kravchuk``: the Kravchuk identity checks that ``finosc verify`` runs;
@@ -20,15 +20,17 @@ coherent-family and Gaussian caches cleared first:
 * ``cli_wigner``: ``finosc wigner --family g1 --kappa 1 --dim d`` writing its
   CSV to a file.
 
-Each (tree, cell, d) runs in a fresh worker process that imports finosc from
-that tree, so each records its own resident high-water mark (VmHWM). The
-trees take turns going first from one dimension to the next. The JSON output
-holds the median and every run's wall time, VmHWM and the machine facts. Each
-cell runs REPEAT times; a worker still running after TIMEOUT_S seconds is
-stopped, and its cell keeps the runs it finished and is marked ``timed_out``.
-A worker may map at most MEMORY_LIMIT_MIB of address space, so that a tree
-which builds d^3 arrays cannot exhaust the machine at large d; a worker that
-runs out keeps the runs it finished and is marked ``out_of_memory``.
+Each cell runs REPEAT times at each dimension, every run in a fresh worker
+process that imports finosc from its tree and records its own resident
+high-water mark (VmHWM), so no run inherits caches, allocations or one-time
+costs from another. The trees alternate on every run, and take turns going
+first, so slow drift on a shared machine falls on all trees alike. The JSON
+output holds the median and every run's wall time and VmHWM, and the machine
+facts. A worker still running after TIMEOUT_S seconds is stopped; its cell
+keeps the runs it finished, runs no more and is marked ``timed_out``. A worker
+may map at most MEMORY_LIMIT_MIB of address space, so that a tree which builds
+d^3 arrays cannot exhaust the machine at large d; a cell whose worker runs out
+is marked ``out_of_memory`` in the same way.
 
 Usage: python scripts/bench.py [--src LABEL=DIR ...] [--dims 101,201,401]
                                [--out FILE]
@@ -77,69 +79,70 @@ def vmhwm_mib() -> float | None:
 
 
 def run_cell(cell: str, d: int) -> None:
-    """Worker: time ``cell`` at dimension d, printing one JSON line per run."""
+    """Worker: time one run of ``cell`` at dimension d and print it as JSON."""
     import resource
 
     limit = MEMORY_LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    from finosc import checks, frames, gaussians, kravchuk, oscillators
+    from finosc import checks, kravchuk, oscillators
     from finosc.cli import main as cli
     from finosc.grid import GridDim
 
     dim = GridDim.from_size(d)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
-        for _ in range(REPEAT):
-            kravchuk.kravchuk_table.cache_clear()
-            kravchuk.su2_generators.cache_clear()
-            frames.coherent_family.cache_clear()
-            gaussians._gaussian_cached.cache_clear()
-            start = time.perf_counter()
-            if cell == "kravchuk_table":
-                kravchuk.kravchuk_table(dim)
-                status = "ok"
-            elif cell == "frame_hamiltonian":
-                oscillators.frame_hamiltonian(dim, 1)
-                status = "ok"
-            elif cell.startswith("check_"):
-                results = getattr(checks, f"_{cell}")(dim)
-                status = f"{sum(r.passed for r in results)}/{len(results)} passed"
-            elif cell == "cli_kravchuk_table":
-                status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
-            elif cell == "cli_spectrum":
-                status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
-            elif cell == "cli_wigner":
-                status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
-            else:
-                status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
-            seconds = time.perf_counter() - start
-            print(json.dumps({"s": seconds, "vmhwm_mib": vmhwm_mib(), "status": status}), flush=True)
+        start = time.perf_counter()
+        if cell == "kravchuk_table":
+            kravchuk.kravchuk_table(dim)
+            status = "ok"
+        elif cell == "frame_hamiltonian":
+            oscillators.frame_hamiltonian(dim, 1)
+            status = "ok"
+        elif cell.startswith("check_"):
+            results = getattr(checks, f"_{cell}")(dim)
+            status = f"{sum(r.passed for r in results)}/{len(results)} passed"
+        elif cell == "cli_kravchuk_table":
+            status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
+        elif cell == "cli_spectrum":
+            status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
+        elif cell == "cli_wigner":
+            status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
+        else:
+            status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
+        seconds = time.perf_counter() - start
+    print(json.dumps({"s": seconds, "vmhwm_mib": vmhwm_mib(), "status": status}), flush=True)
 
 
 def measure(src: Path, cell: str, d: int) -> dict:
+    """One run of ``cell`` at d in a fresh worker importing finosc from ``src``;
+    a run that timed out or ran out of memory comes back with that flag set."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     env.update({k: "1" for k in BLAS_ENV})
     argv = [sys.executable, __file__, "--worker", cell, str(d)]
-    timed_out = out_of_memory = False
     try:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        stdout = proc.stdout
-        out_of_memory = proc.returncode != 0 and "MemoryError" in proc.stderr
-        if proc.returncode != 0 and not out_of_memory:
-            raise RuntimeError(f"{cell} d={d} in {src} failed:\n{proc.stderr}")
-    except subprocess.TimeoutExpired as exc:
-        timed_out = True
-        stdout = exc.stdout.decode() if isinstance(exc.stdout, bytes) else exc.stdout or ""
-    runs = [json.loads(line) for line in stdout.splitlines()]
-    times = [r["s"] for r in runs]
+    except subprocess.TimeoutExpired:
+        return {"timed_out": True}
+    if proc.returncode != 0:
+        if "MemoryError" in proc.stderr:
+            return {"out_of_memory": True}
+        raise RuntimeError(f"{cell} d={d} in {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    done = [r for r in runs if "s" in r]
+    times = [r["s"] for r in done]
+    peaks = [r["vmhwm_mib"] for r in done if r["vmhwm_mib"] is not None]
     return {
         "median_s": statistics.median(times) if times else None,
         "runs_s": times,
-        "vmhwm_mib": runs[-1]["vmhwm_mib"] if runs else None,
-        "status": sorted({r["status"] for r in runs}),
-        "timed_out": timed_out,
-        "out_of_memory": out_of_memory,
+        "vmhwm_mib": statistics.median(peaks) if peaks else None,
+        "runs_vmhwm_mib": peaks,
+        "status": sorted({r["status"] for r in done}),
+        "timed_out": any(r.get("timed_out") for r in runs),
+        "out_of_memory": any(r.get("out_of_memory") for r in runs),
     }
 
 
@@ -193,9 +196,15 @@ def main(argv: list[str] | None = None) -> int:
     order = list(trees)
     for cell in CELLS:
         for d in dims:
-            for label in order:
-                results[label][cell][str(d)] = measure(trees[label], cell, d)
-            order.reverse()
+            runs = {label: [] for label in trees}
+            for _ in range(REPEAT):
+                for label in order:
+                    # a cell that timed out or ran out of memory runs no more
+                    if all("s" in r for r in runs[label]):
+                        runs[label].append(measure(trees[label], cell, d))
+                order.reverse()
+            for label in trees:
+                results[label][cell][str(d)] = summarize(runs[label])
 
     report = {
         "machine": machine_facts(),

@@ -26,7 +26,7 @@ from .grid import (
     LinearOperator,
     hermitian_eigenvalues,
 )
-from .grid import _adopt, _assign, _phase, _readonly_copy, _stack, _views
+from .grid import _adopt, _assign, _phase, _readonly_copy, _same_dim, _stack, _views
 
 __all__ = [
     "schwinger",
@@ -142,8 +142,7 @@ def dequantize(family: CoherentFamily, M: LinearOperator) -> np.ndarray:
     Indexed [alpha + j, beta + j]; real (up to roundoff) for Hermitian M.  As
     in ``quantize``, summed over k of e^{-2 pi i beta k/d} sum_n G*(n-alpha) G(n-k-alpha) M[n, n-k].
     """
-    if M.dim != family.dim:
-        raise InputError(f"dimension mismatch: {M.dim} vs {family.dim}")
+    _same_dim(M, family)
     f = 0
     for phases, cols, P in _cyclic_diagonals(family):
         f = f + np.outer(P.conj() @ M.matrix[np.arange(family.dim.d), cols], phases.conj())

@@ -3,8 +3,9 @@ closed-form norm identities.
 
 Families G1-G3 are lattice periodizations of e^{-kappa pi x^2 / d} (plain,
 half-period shifted, and sign-alternating) and carry a width parameter
-kappa > 0.  G4 is the centered binomial profile and G5 the cosine power;
-both are parameter-free.  Values are real, even in n, and periodic mod d.
+kappa > 0.  G4 is the centered binomial profile C(2j, j+n)/4^j, formed as an
+exact integer ratio, and G5 the cosine power; both are parameter-free.
+Values are real, even in n, and periodic mod d.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import cmath
 import math
 from enum import Enum
 from functools import lru_cache
-from math import exp, lgamma, log
+from math import comb, exp
 
 import numpy as np
 
-from ._binomial import log_binomial
 from .grid import GridDim, GridFunction, InputError
 
 __all__ = [
@@ -28,9 +28,8 @@ __all__ = [
     "norm_squared_closed_form",
 ]
 
-# Lattice/theta series are truncated once the next term falls below this
-# fraction of the running partial sum (with at least MIN_TERMS pairs taken);
-# the terms decay super-exponentially so this certifies full double precision.
+# Lattice/theta series stop by the rule in _paired_sum; the terms decay
+# super-exponentially, so an envelope of 1e-18 certifies full double precision.
 SERIES_REL_TOL = 1e-18
 SERIES_MIN_TERMS = 3
 _SERIES_CAP = 10_000
@@ -74,22 +73,28 @@ def _check_kappa(family: Family, kappa: float | None) -> float:
     return 1.0
 
 
-def _paired_sum(term, min_terms: int = SERIES_MIN_TERMS, rel_tol: float = SERIES_REL_TOL):
-    """Sum term(a) over a symmetric pairing a = 0, 1, 2, ... of a lattice series.
+def _paired_sum(pair, envelope, series: str):
+    """Sum pair(a) over a = 0, 1, 2, ... of a mirror-paired lattice series.
 
-    ``term(a)`` must return the combined contribution of the mirror pair at
-    offset a.  Stops once the next pair is below rel_tol times the partial sum.
+    ``pair(a)`` is the combined contribution of the mirror pair at offset a,
+    and ``envelope(a)`` bounds |pair(a)| and, past its peak, every later pair.
+    Stops once envelope(a + 1) is at most SERIES_REL_TOL times the larger of
+    the partial sum and the peak pair, after at least SERIES_MIN_TERMS pairs.
+    The envelope, not the pair value, drives the decision because an
+    oscillatory factor can make single pairs vanish long before the tail is
+    negligible; before its peak the envelope exceeds every pair so far, so
+    the rule cannot stop there.
     """
-    total = term(0)
-    a = 1
-    while True:
-        t = term(a)
+    total = pair(0)
+    peak = abs(total)
+    for a in range(1, _SERIES_CAP + 1):
+        t = pair(a)
         total += t
-        if a >= min_terms and abs(t) < rel_tol * max(abs(total), 1e-300):
+        peak = max(peak, abs(t))
+        # <=, so a sum that underflows to 0 stops on an envelope that does too
+        if a >= SERIES_MIN_TERMS and envelope(a + 1) <= SERIES_REL_TOL * max(abs(total), peak):
             return total
-        a += 1
-        if a > _SERIES_CAP:
-            raise ValueError("series did not converge (is Im(tau) > 0?)")
+    raise ValueError(f"{series} did not converge within {_SERIES_CAP} pairs")
 
 
 def theta(kind: int, z: complex, tau: complex) -> complex:
@@ -97,13 +102,7 @@ def theta(kind: int, z: complex, tau: complex) -> complex:
 
     theta_3(z,tau) = sum_a e^{i pi tau a^2} e^{2 pi i a z}; theta_4 carries the
     alternating sign (-1)^a and theta_2 runs over half-integers a + 1/2.
-    Requires Im(tau) > 0 for convergence.
-
-    Truncation stops once the Gaussian envelope of the next mirror pair drops
-    below SERIES_REL_TOL times the larger of the partial sum and the peak pair
-    seen so far; the envelope, not the pair value itself, drives the decision
-    because the oscillatory factor can make individual pairs accidentally
-    vanish long before the tail is negligible.
+    Requires Im(tau) > 0 for convergence; summed by ``_paired_sum``.
     """
     if kind not in (2, 3, 4):
         raise InputError(f"theta kind must be 2, 3 or 4, got {kind}")
@@ -113,54 +112,45 @@ def theta(kind: int, z: complex, tau: complex) -> complex:
     tau = complex(tau)
     decay = math.pi * tau.imag
     growth = 2.0 * math.pi * abs(z.imag)
+    shift = 0.5 if kind == 2 else 0.0
 
-    def envelope(x: float) -> float:
+    def envelope(a: int) -> float:
+        x = a + shift
         arg = -decay * x * x + growth * x
         return 2.0 * math.exp(arg) if arg < 700.0 else math.inf
 
     if kind == 2:
 
-        def term(a):
+        def pair(a):
             out = 0j
             for alpha in (a, -1 - a):
                 h = alpha + 0.5
                 out += cmath.exp(1j * cmath.pi * tau * h * h + 2j * cmath.pi * h * z)
             return out
 
-        coord = lambda a: a + 0.5
     else:
         sign = -1.0 if kind == 4 else 1.0
 
-        def term(a):
+        def pair(a):
             if a == 0:
                 return cmath.exp(0j)
             s = sign**a
             e = cmath.exp(1j * cmath.pi * tau * a * a)
             return s * e * (cmath.exp(2j * cmath.pi * a * z) + cmath.exp(-2j * cmath.pi * a * z))
 
-        coord = lambda a: float(a)
-
-    total = term(0)
-    peak = abs(total)
-    a = 1
-    while True:
-        t = term(a)
-        total += t
-        peak = max(peak, abs(t))
-        if a >= SERIES_MIN_TERMS and envelope(coord(a + 1)) < SERIES_REL_TOL * max(
-            abs(total), peak
-        ):
-            return total
-        a += 1
-        if a > _SERIES_CAP:
-            raise ValueError("theta series did not converge (Im(tau) too small)")
+    return _paired_sum(pair, envelope, f"theta_{kind} series at z = {z}, tau = {tau}")
 
 
 def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: bool) -> float:
-    """sum_a (+-1)^a exp(-kappa pi ((a + offset) d + n)^2 / d), paired symmetrically."""
-    c = kappa * np.pi / d
+    """sum_a (+-1)^a exp(-kappa pi ((a + offset) d + n)^2 / d), paired symmetrically.
 
-    def term(a):
+    Both members of pair a lie at least (a + offset) d - |n| from the origin,
+    which is positive for a >= 1 since |n| <= j < d/2.
+    """
+    c = kappa * np.pi / d
+    reach = offset * d - abs(n)
+
+    def pair(a):
         if offset == 0.0:
             xs = (a,) if a == 0 else (a, -a)
         else:
@@ -171,7 +161,10 @@ def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: boo
             out += -t if (alternating and alpha % 2) else t
         return out
 
-    return _paired_sum(term)
+    def envelope(a):
+        return 2.0 * exp(-c * (a * d + reach) ** 2)
+
+    return _paired_sum(pair, envelope, f"lattice series at kappa = {kappa:g}, d = {d}")
 
 
 # lattice offset and alternating sign of G1-G3; G3 also carries (-1)^n
@@ -182,7 +175,8 @@ _LATTICE = {Family.G1: (0.0, False), Family.G2: (0.5, False), Family.G3: (0.0, T
 def _gaussian_cached(dim: GridDim, family: Family, kappa: float) -> GridFunction:
     j, d = dim.j, dim.d
     if family is Family.G4:
-        half = [exp(log_binomial(2 * j, j + n) - 2 * j * log(2.0)) for n in range(j + 1)]
+        # int / int true division rounds the exact ratio correctly at every d
+        half = [comb(2 * j, j + n) / 4**j for n in range(j + 1)]
     elif family is Family.G5:
         half = [np.cos(n * np.pi / d) ** (2 * j) / np.sqrt(d) for n in range(j + 1)]
     else:
@@ -209,14 +203,14 @@ def norm_squared_closed_form(dim: GridDim, family: Family, kappa: float | None =
     """Closed form of ||g||^2, available for G1-G3 at kappa = 1 and for G4, G5.
 
     G1-G3 norms reduce to central values of the half-width families; G4 and G5
-    share the central binomial expression C(4j, 2j) / 2^{4j}.
+    share the central binomial ratio C(4j, 2j) / 16^j, rounded once.
     """
     kappa = _check_kappa(family, kappa)
     if family.has_kappa and kappa != 1.0:
         raise ValueError(f"closed-form norm only available at kappa=1 for {family.value}")
     j, d = dim.j, dim.d
     if family in (Family.G4, Family.G5):
-        return exp(lgamma(4 * j + 1) - 2 * lgamma(2 * j + 1) - 4 * j * log(2.0))
+        return comb(4 * j, 2 * j) / 16**j
     a0 = gaussian(dim, Family.G1, 2.0)[0]
     b0 = gaussian(dim, Family.G2, 2.0)[0].real
     a0 = a0.real

@@ -187,7 +187,7 @@ class GridFunction:
 
 def _same_dim(a, b):
     if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +270,12 @@ def inner_product(phi: GridFunction, psi: GridFunction) -> complex:
 
 def _phase(d: int, m):
     """e^{i pi m/d} for integers m (an array or any Python int), gathered from
-    the 2d roots at m mod 2d, so its rounding does not grow with |m|."""
-    return np.exp(1j * np.pi * np.arange(2 * d) / d)[m % (2 * d)]
+    the 2d roots at m mod 2d, so its rounding does not grow with |m|.  Each
+    root is evaluated at its exponent in (-d, d], so e^{-i pi m/d} is exactly
+    the conjugate of e^{i pi m/d} for every m other than d mod 2d."""
+    r = np.arange(2 * d)
+    r[d + 1 :] -= 2 * d
+    return np.exp(1j * np.pi * r / d)[m % (2 * d)]
 
 
 @lru_cache(maxsize=_FOURIER_CACHE_SIZE)

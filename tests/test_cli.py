@@ -370,6 +370,13 @@ class TestGaussianCommand:
         top = max(probs.values())
         assert probs[-7] == top and probs[7] == top
 
+    def test_series_cap_exits_1_without_output(self, capsys, tmp_path):
+        path = tmp_path / "g1.csv"
+        argv = ("gaussian", "--family", "g1", "--kappa", "1e-9", "--dim", "3")
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out, path.exists()) == (1, "", False)
+        assert err == "computation failed: lattice series at kappa = 1e-09, d = 3 did not converge within 10000 pairs\n"
+
 
 class TestWignerCommand:
     def test_delta_state_d7(self, capsys):

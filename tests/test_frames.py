@@ -337,14 +337,20 @@ class TestFrameAnalysis:
 # --- the dense and tensor constructions that the structured ones replaced,
 # kept as references: schwinger/displacement as dense products, the coherent
 # family as the d^3 tensor of all states, and both maps summed over it.  Each
-# phase e^{i pi m/d} takes its exponent reduced first (m mod 2d, or mod d for
-# an even m = 2k), written out here rather than through grid._phase
+# phase e^{i pi m/d} takes its exponent reduced first into (-d, d], so that
+# opposite exponents give exactly conjugate phases, written out here rather
+# than through grid._phase
+
+
+def half_turns(m, d):
+    """m reduced mod 2d into (-d, d]."""
+    return (m + d - 1) % (2 * d) - (d - 1)
 
 
 def dense_schwinger(dim, which, power):
     d = dim.d
     if which == "B":
-        return np.diag(np.exp(2j * np.pi * ((dim.indices() * power) % d) / d))
+        return np.diag(np.exp(1j * np.pi * half_turns(2 * dim.indices() * power, d) / d))
     m = np.zeros((d, d), dtype=complex)
     i = np.arange(d)
     m[i, (i - power) % d] = 1.0
@@ -353,7 +359,7 @@ def dense_schwinger(dim, which, power):
 
 def dense_displacement(dim, alpha, beta):
     """A^alpha (e^{i pi alpha beta/d} B^beta), the phase taken onto the diagonal of B^beta."""
-    phase = np.exp(1j * np.pi * np.int64((alpha * beta) % (2 * dim.d)) / dim.d)
+    phase = np.exp(1j * np.pi * np.int64(half_turns(alpha * beta, dim.d)) / dim.d)
     B = np.diag(dense_schwinger(dim, "B", beta))
     return dense_schwinger(dim, "A", alpha) @ np.diag(phase * B)
 
@@ -363,8 +369,8 @@ def tensor_states(fam):
     dim = fam.dim
     j, d, n, i = dim.j, dim.d, dim.indices(), np.arange(dim.d)
     shifted = fam.fiducial.values[(i[None, :] - i[:, None] + j) % d]
-    mod = np.exp(2j * np.pi * (np.outer(n, n) % d) / d)
-    pre = np.exp(1j * np.pi * (-np.outer(n, n) % (2 * d)) / d)
+    mod = np.exp(1j * np.pi * half_turns(2 * np.outer(n, n), d) / d)
+    pre = np.exp(1j * np.pi * half_turns(-np.outer(n, n), d) / d)
     return pre[:, :, None] * shifted[:, None, :] * mod[None, :, :]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finosc import gaussians
 from finosc.gaussians import (
     Family,
     gaussian,
@@ -13,7 +14,7 @@ from finosc.gaussians import (
     normalized_gaussian,
     theta,
 )
-from finosc.grid import GridDim, fourier_transform
+from finosc.grid import GridDim, InputError, fourier_transform
 from conftest import lattice_sum_brute
 
 S3 = 1 / math.sqrt(3)
@@ -63,6 +64,70 @@ class TestPlainValues:
         b = gaussian(d15, Family.G1, 1.25)
         assert a is b
         assert not a.values.flags.writeable
+
+
+class TestExactBinomial:
+    @pytest.mark.parametrize("d", [3, 101, 401])
+    def test_g4_and_norm_are_correctly_rounded(self, d):
+        dim = GridDim.from_size(d)
+        j = dim.j
+        with mpmath.workprec(256):
+            ref = [float(mpmath.binomial(2 * j, j + n) / mpmath.mpf(4) ** j) for n in dim.indices()]
+            norm = float(mpmath.binomial(4 * j, 2 * j) / mpmath.mpf(16) ** j)
+        g = gaussian(dim, Family.G4).values
+        assert np.array_equal(g.real, ref) and not g.imag.any()
+        assert norm_squared_closed_form(dim, Family.G4) == norm
+        assert norm_squared_closed_form(dim, Family.G5) == norm
+
+
+class TestSeriesTruncation:
+    """Lattice and theta series stop once the envelope of every later pair is
+    at most SERIES_REL_TOL of the larger of the sum and the peak pair."""
+
+    @pytest.mark.parametrize("d", [3, 7, 9, 31, 101])
+    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1, 0.5, 1.0])
+    def test_lattice_sums_equal_sums_run_to_underflow(self, d, kappa, monkeypatch):
+        lattice = gaussians._LATTICE.values()
+        args = [(n, offset, alt) for n in range(d // 2 + 1) for offset, alt in lattice]
+        got = [gaussians._lattice_value(d, kappa, *a) for a in args]
+        # with a zero tolerance each sum runs until the envelope underflows
+        monkeypatch.setattr(gaussians, "SERIES_REL_TOL", 0.0)
+        full = [gaussians._lattice_value(d, kappa, *a) for a in args]
+        for (_, _, alt), g, f in zip(args, got, full):
+            if alt:
+                # cancelling: the tail is below 1e-18 of the peak pair, of size at most 2
+                assert abs(g - f) <= 4e-18
+            else:
+                # positive terms: the pairs left out change no bit
+                assert g == f
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_theta_equals_sum_run_to_underflow(self, kind, monkeypatch):
+        cases = [(0.3, 0.7j), (-0.45, 0.08j), (0.2 + 0.1j, 0.5 + 0.9j), (0.1 + 0.2j, 0.3j)]
+        got = [theta(kind, z, tau) for z, tau in cases]
+        monkeypatch.setattr(gaussians, "SERIES_REL_TOL", 0.0)
+        full = [theta(kind, z, tau) for z, tau in cases]
+        # the tail is below 1e-18 of the larger of the sum and the peak pair, and no
+        # pair here exceeds 4; a component far below |sum| may take new bits
+        for g, f in zip(got, full):
+            assert abs(g - f) <= 4e-18 * max(abs(f), 1.0)
+
+    @pytest.mark.parametrize("family", [Family.G1, Family.G2, Family.G3])
+    def test_underflowing_sums_stop_at_exact_zero(self, family):
+        v = gaussian(GridDim.from_size(101), family, 50.0).values.real
+        assert np.all(np.isfinite(v))
+        # far from the lattice the sum underflows: at the edges, or the centre for g2
+        far = v[50] if family is Family.G2 else v[[0, -1]]
+        assert np.all(far == 0.0) and v.max() > 0.5
+
+    def test_series_cap_names_the_series(self):
+        message = "lattice series at kappa = 1e-09, d = 3 did not converge within 10000 pairs"
+        with pytest.raises(ValueError, match=message) as lattice:
+            gaussian(GridDim.from_size(3), Family.G1, 1e-9)
+        with pytest.raises(ValueError, match=r"theta_3 series .* did not converge") as series:
+            theta(3, 0.0, 1e-12j)
+        assert not isinstance(lattice.value, InputError)
+        assert not isinstance(series.value, InputError)
 
 
 class TestNormalizedValues:

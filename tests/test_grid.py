@@ -97,6 +97,10 @@ class TestInputError:
             lambda dim: theta(5, 0.0, 1j),
             lambda dim: theta(3, 0.0, -1j),
             lambda dim: dequantize(coherent_family(dim, Family.G4), LinearOperator.identity(GridDim(1))),
+            lambda dim: LinearOperator.identity(dim) @ LinearOperator.identity(GridDim(1)),
+            lambda dim: LinearOperator.identity(dim) @ GridFunction.zero(GridDim(1)),
+            lambda dim: inner_product(GridFunction.zero(dim), GridFunction.zero(GridDim(1))),
+            lambda dim: convolve(GridFunction.zero(dim), GridFunction.zero(GridDim(1))),
             lambda dim: wigner_product_decomposition(dim, Family.G4, 1.0),
             lambda dim: wigner_product_decomposition(dim, Family.G1, -1.0),
             lambda dim: wigner_product_decomposition(dim, Family.G2, 0.0),
@@ -126,6 +130,10 @@ class TestInputError:
             "theta-kind",
             "theta-lower-half-plane",
             "dequantize-dimension-mismatch",
+            "matmul-dimension-mismatch",
+            "apply-dimension-mismatch",
+            "inner-product-dimension-mismatch",
+            "convolve-dimension-mismatch",
             "wigner-product-family-g4",
             "wigner-product-negative-kappa",
             "wigner-product-zero-kappa",
@@ -260,6 +268,16 @@ class TestReducedFourierPhase:
         # F[1, nk mod d] shares the residue of F[n, k]
         same_residue = F[j + 1][(np.outer(n, n) + j) % d]
         assert np.array_equal(F.view(np.uint64), same_residue.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [3, 101, 401])
+    def test_conjugate_symmetric_bit_for_bit(self, d):
+        # every root is evaluated at its exponent in (-d, d], so F(n, -k) = conj F(n, k)
+        # exactly; only m = d mod 2d, never a DFT exponent, is its own partner
+        m = np.arange(-3 * d, 3 * d)
+        m = m[m % (2 * d) != d]
+        assert np.array_equal(grid._phase(d, -m), grid._phase(d, m).conj())
+        F = fourier_operator(GridDim.from_size(d)).matrix
+        assert np.array_equal(F[:, ::-1], F.conj())
 
     @pytest.mark.parametrize("d", [107, 197, 201])
     def test_fourier_algebra_checks_pass(self, d):
