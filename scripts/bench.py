@@ -25,9 +25,11 @@ process that imports finosc from its tree and records its own resident
 high-water mark (VmHWM), so no run inherits caches, allocations or one-time
 costs from another. The trees alternate on every run, and take turns going
 first, so slow drift on a shared machine falls on all trees alike. The JSON
-output holds the median and every run's wall time and VmHWM, and the machine
-facts. A worker still running after TIMEOUT_S seconds is stopped; its cell
-keeps the runs it finished, runs no more and is marked ``timed_out``. A worker
+output holds the median wall time with its lower and upper quartiles (so a
+change can be told from the spread of the runs), every run's wall time and
+VmHWM, and the machine facts. A worker still running after TIMEOUT_S seconds
+is stopped; its cell keeps the runs it finished, runs no more and is marked
+``timed_out``. A worker
 may map at most MEMORY_LIMIT_MIB of address space, so that a tree which builds
 d^3 arrays cannot exhaust the machine at large d; a cell whose worker runs out
 is marked ``out_of_memory`` in the same way.
@@ -135,8 +137,15 @@ def summarize(runs: list[dict]) -> dict:
     done = [r for r in runs if "s" in r]
     times = [r["s"] for r in done]
     peaks = [r["vmhwm_mib"] for r in done if r["vmhwm_mib"] is not None]
+    # inclusive quartiles interpolate between runs; one run is its own spread
+    if len(times) > 1:
+        q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    else:
+        q1 = q3 = times[0] if times else None
     return {
         "median_s": statistics.median(times) if times else None,
+        "q1_s": q1,
+        "q3_s": q3,
         "runs_s": times,
         "vmhwm_mib": statistics.median(peaks) if peaks else None,
         "runs_vmhwm_mib": peaks,

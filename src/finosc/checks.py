@@ -248,6 +248,73 @@ def _check_gaussians(dim: GridDim) -> list[CheckResult]:
     return out
 
 
+_GRAM_PROBES = 3
+
+
+def _kravchuk_integers(j: int) -> np.ndarray:
+    """Every K_m(n) as an exact integer, indexed [m + j, n + j], by the
+    three-term recurrence in the degree (Koekoek, Lesky & Swarttouw, 9.11):
+    (j+m+1) K_{m+1}(n) = -2n K_m(n) - (j-m+1) K_{m-1}(n), with K_{-j} = 1.
+
+    Each row takes O(d) integer operations over all n at once, and the
+    division leaves no remainder.  It shares nothing with the table's
+    recurrence in n.
+    """
+    d = 2 * j + 1
+    n = np.arange(-j, j + 1).astype(object)
+    K = np.empty((d, d), dtype=object)
+    K[0] = 1
+    prev = np.zeros(d, dtype=object)
+    for mi in range(1, d):
+        m = mi - 1 - j
+        K[mi] = (-2 * n * K[mi - 1] - (j - m + 1) * prev) // (j + m + 1)
+        prev = K[mi - 1]
+    return K
+
+
+def _gram_probe_failures(K: np.ndarray, weight: np.ndarray, target: np.ndarray) -> int:
+    """How many of _GRAM_PROBES seeded Freivalds probes find
+    K diag(weight) K^T != diag(target), all in exact integers.
+
+    Each probe draws x of random 64-bit integers and compares
+    K (weight * K^T x) with target * x, O(d^2) work instead of the d^3 of
+    the Gram matrix.  A wrong Gram entry escapes one probe with probability
+    at most 2^-64 (Freivalds, IFIP 1977).
+    """
+    rng = np.random.default_rng(13)
+    failed = 0
+    for _ in range(_GRAM_PROBES):
+        x = rng.integers(0, 2**64 - 1, size=len(target), dtype=np.uint64, endpoint=True).astype(object)
+        failed += bool(np.any(K @ (weight * (K.T @ x)) != target * x))
+    return failed
+
+
+def _hypergeometric_route(dim: GridDim) -> np.ndarray:
+    """curly-K_m(n) through H = (2j)! 2F1(-(j+m), -(j+n); -2j; 2) in integers.
+
+    The first two columns are the exact scalar sums; Gauss's contiguous
+    relation in b = -(j+n) gives the rest for all m at once:
+    (n-j) H_{n+1} = 2m H_n + (j+n) H_{n-1}, an exact division.  Only two
+    integer columns are held at a time.
+    """
+    j, d = dim.j, dim.d
+    m = np.arange(-j, j + 1).astype(object)
+    scale = math.factorial(2 * j)
+    prev, cur = (
+        np.array([kravchuk._hypergeometric_int(j, mm, n) for mm in range(-j, j + 1)], dtype=object)
+        for n in (-j, 1 - j)
+    )
+    hyp = np.empty((d, d))
+    hyp[:, 0], hyp[:, 1] = prev / scale, cur / scale
+    for ni in range(1, d - 1):
+        n = ni - j
+        prev, cur = cur, (2 * m * cur + (j + n) * prev) // (n - j)
+        hyp[:, ni + 1] = cur / scale
+    # sqrt(C(2j, j+m) C(2j, j+n) / 4^j), split so neither factor leaves the float range
+    root = np.sqrt([math.comb(2 * j, k) / 2**j for k in range(d)])
+    return np.outer(root, root) * hyp
+
+
 def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     out = []
     j, d = dim.j, dim.d
@@ -255,22 +322,17 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     idx = dim.indices()
 
     # sum_n C(2j, j+n) K_m(n) K_l(n) = delta_ml 4^j C(2j, j+m), exactly in
-    # integers (the float table passes 2^53 from d = 61); the table must hold
-    # the correctly rounded K_m(n)
-    ints = range(-j, j + 1)
-    K = np.array(
-        [[kravchuk._kravchuk_polynomial_int(j, m, n) for n in ints] for m in ints], dtype=object
-    )
-    binom = np.array([math.comb(2 * j, j + n) for n in ints], dtype=object)
-    gram = (K * binom) @ K.T
-    expected = np.diag(binom * 4**j)
-    wrong_gram = int(np.count_nonzero(gram != expected))
-    wrong_table = int(np.count_nonzero(table.poly != K.astype(float)))
+    # integers (the float table passes 2^53 from d = 61), on the degree
+    # recurrence's integers; the table must hold their correct rounding
+    ints = _kravchuk_integers(j)
+    binom = np.array([math.comb(2 * j, k) for k in range(d)], dtype=object)
+    wrong_gram = _gram_probe_failures(ints, binom, binom * 4**j)
+    wrong_table = int(np.count_nonzero(table.poly != ints.astype(float)))
     out.append(
         CheckResult(
             "kravchuk-orthogonality",
             wrong_gram == wrong_table == 0,
-            f"exact: {wrong_gram} Gram and {wrong_table} table entries wrong",
+            f"exact: {wrong_table} table entries wrong, {wrong_gram} of {_GRAM_PROBES} Gram probes failed",
         )
     )
 
@@ -284,8 +346,17 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     lhs = np.sqrt((j - idx) * (j + idx + 1)) * up + np.sqrt((j + idx) * (j - idx + 1)) * dn
     out.append(_result("kravchuk-recurrence", float(np.max(np.abs(lhs + 2 * idx[:, None] * f))), 1e-10))
 
-    par = float(np.max(np.abs(f[:, ::-1] - (-1.0) ** (j + idx)[:, None] * f)))
-    out.append(_result("kravchuk-parity", par, 1e-12))
+    # K_m(-n) = (-1)^{j+m} K_m(n) and K_{-m}(n) = (-1)^{j+n} K_m(n), exactly
+    sign = np.where((j + idx) % 2, -1, 1)
+    wrong_n = int(np.count_nonzero(ints[:, ::-1] != sign[:, None] * ints))
+    wrong_m = int(np.count_nonzero(ints[::-1] != sign * ints))
+    out.append(
+        CheckResult(
+            "kravchuk-parity",
+            wrong_n == wrong_m == 0,
+            f"exact: {wrong_n} entries break the n reflection, {wrong_m} the m reflection",
+        )
+    )
     comp = float(np.max(np.abs(table.func.T @ table.func - np.eye(d))))
     out.append(_result("kravchuk-completeness", comp, 1e-10))
 
@@ -312,11 +383,10 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     err = max(float(np.max(np.abs(gen.jx.matrix @ v - n * v))) for n, v in zip(idx, f[::-1]))
     out.append(_result("jx-eigenbasis", err, 1e-10))
 
-    hyp = max(
-        abs(kravchuk.kravchuk_function_hypergeometric(dim, m, n) - table.function(m, n))
-        for m in idx
-        for n in idx
-    )
+    route = _hypergeometric_route(dim)
+    # the scalar sum closes the relation at the far boundary column n = j
+    scalar = [kravchuk.kravchuk_function_hypergeometric(dim, m, j) for m in range(-j, j + 1)]
+    hyp = max(float(np.max(np.abs(route - table.func))), float(np.max(np.abs(route[:, -1] - scalar))))
     out.append(_result("kravchuk-hypergeometric-route", hyp, 1e-9))
     return out
 

@@ -146,7 +146,23 @@ def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: boo
 
     Both members of pair a lie at least (a + offset) d - |n| from the origin,
     which is positive for a >= 1 since |n| <= j < d/2.
+
+    Where kappa d < 1 the alternating terms cancel, so that sum is taken in
+    its Poisson dual instead, whose terms do not cancel:
+    (2 / sqrt(kappa d)) sum_{k>=1} e^{-pi (k-1/2)^2 / (kappa d)} cos((2k-1) pi n / d).
     """
+    if alternating and kappa * d < 1.0:
+        t = kappa * d
+        scale = 2.0 / math.sqrt(t)
+
+        def dual_envelope(a):
+            return scale * exp(-math.pi * (a + 0.5) ** 2 / t)
+
+        def dual_pair(a):
+            return dual_envelope(a) * math.cos((2 * a + 1) * math.pi * n / d)
+
+        return _paired_sum(dual_pair, dual_envelope, f"dual lattice series at kappa = {kappa:g}, d = {d}")
+
     c = kappa * np.pi / d
     reach = offset * d - abs(n)
 

@@ -2,14 +2,17 @@
 generator calculus.
 
 K_m(n) is the coefficient of X^{j+m} in (1-X)^{j+n} (1+X)^{j-n}.  The table
-of all K_m(n) is built by a column recurrence by exact polynomial division:
-column n = -j holds the binomials C(2j, k), and column n+1 follows from
-column n by multiplying by (1-X) and dividing synthetically by (1+X), one
-O(d) pass in Python integers whose division leaves no remainder.  The scalar
-route, and the test oracle, is the explicit alternating binomial sum.  Both
-stay in exact integers until the final float conversion: the alternating sum
-cancels from magnitude ~4^j down to O(1), so floating-point binomials would
-lose ~j bits.  The weighted companions
+of all K_m(n) is built by a column recurrence by exact polynomial division
+over one quadrant only, m <= 0 and n <= 0: column n = -j holds the binomials
+C(2j, k), and column n+1 follows from column n by multiplying by (1-X) and
+dividing synthetically by (1+X), one O(d) pass in Python integers whose
+division leaves no remainder.  The other three quadrants follow from the two
+reflections K_m(-n) = (-1)^{j+m} K_m(n) and K_{-m}(n) = (-1)^{j+n} K_m(n)
+(Koekoek, Lesky & Swarttouw, section 9.11); a mirrored zero is stored as
++0.0.  The scalar route, and the test oracle, is the explicit alternating
+binomial sum.  Both stay in exact integers until the final float conversion:
+the alternating sum cancels from magnitude ~4^j down to O(1), so
+floating-point binomials would lose ~j bits.  The weighted companions
 curly-K_m(n) = 2^{-j} sqrt(C(2j,j+n)/C(2j,j+m)) K_m(n) form an orthonormal
 basis diagonalizing J_x with integer eigenvalues.
 """
@@ -73,6 +76,16 @@ def kravchuk_function(dim: GridDim, m: int, n: int) -> float:
     return sqrt(float(ratio)) * _kravchuk_polynomial_int(j, m, n)
 
 
+def _hypergeometric_int(j: int, m: int, n: int) -> int:
+    """(2j)! * 2F1(-j-m, -j-n; -2j | 2), summed exactly in integers."""
+    a, b, c = -(j + m), -(j + n), -2 * j
+    hyp = term = factorial(2 * j)
+    for k in range(min(j + m, j + n)):
+        term = term * (a + k) * (b + k) * 2 // ((c + k) * (k + 1))
+        hyp += term
+    return hyp
+
+
 def kravchuk_function_hypergeometric(dim: GridDim, m: int, n: int) -> float:
     """Same value through the terminating 2F1(-j-m, -j-n; -2j | 2) sum.
 
@@ -86,14 +99,8 @@ def kravchuk_function_hypergeometric(dim: GridDim, m: int, n: int) -> float:
     j = dim.j
     m = _check_index(dim, m, "m")
     n = _check_index(dim, n, "n")
-    a, b, c = -(j + m), -(j + n), -2 * j
-    scale = factorial(2 * j)
-    hyp = term = scale
-    for k in range(min(j + m, j + n)):
-        term = term * (a + k) * (b + k) * 2 // ((c + k) * (k + 1))
-        hyp += term
     weight = comb(2 * j, j + m) * comb(2 * j, j + n) / 4**j
-    return sqrt(weight) * (hyp / scale)
+    return sqrt(weight) * (_hypergeometric_int(j, m, n) / factorial(2 * j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,20 +132,25 @@ class KravchukTable:
 @lru_cache(maxsize=_KRAVCHUK_CACHE_SIZE)
 def kravchuk_table(dim: GridDim) -> KravchukTable:
     """All K_m(n) and curly-K_m(n), by column recurrence by exact polynomial
-    division; the alternating sum is the scalar route and the test oracle.
+    division on the quadrant m, n <= 0 and by reflection elsewhere; the
+    alternating sum is the scalar route and the test oracle.
 
-    Column n holds the coefficients of (1-X)^{j+n} (1+X)^{j-n}, kept as
-    Python integers one column at a time.  Every entry equals the scalar
+    Column n holds the coefficients k = 0..j of (1-X)^{j+n} (1+X)^{j-n}, kept
+    as Python integers one column at a time; the division reads only lower
+    k, so the truncated column is exact.  Every entry equals the scalar
     ``kravchuk_polynomial``/``kravchuk_function`` value bit for bit: both
-    round the same exact integers and correctly rounded ratios.
+    round the same exact integers and correctly rounded ratios, and a
+    reflection only flips signs.  A mirrored zero is stored as +0.0, as the
+    scalar routes give it.
     """
     j, d = dim.j, dim.d
-    binom = [comb(2 * j, k) for k in range(d)]
+    half = j + 1
+    binom = [comb(2 * j, k) for k in range(half)]
     denom = [b * 4**j for b in binom]
     poly = np.empty((d, d))
     func = np.empty((d, d))
     col = binom
-    for ni in range(d):
+    for ni in range(half):
         if ni:
             # times (1-X), divided by (1+X): q_k = c_k - c_{k-1} - q_{k-1}
             prev = q = 0
@@ -148,8 +160,14 @@ def kravchuk_table(dim: GridDim) -> KravchukTable:
                 prev = c
                 nxt.append(q)
             col = nxt
-        poly[:, ni] = [float(c) for c in col]
-        func[:, ni] = np.sqrt([binom[ni] / den for den in denom]) * poly[:, ni]
+        poly[:half, ni] = [float(c) for c in col]
+        func[:half, ni] = np.sqrt([binom[ni] / den for den in denom]) * poly[:half, ni]
+    # (-1)^{j+i} for grid index i; the weights are even in m and in n
+    sign = np.where((j + dim.indices()) % 2, -1.0, 1.0)
+    for t in (poly, func):
+        t[half:, :half] = sign[:half] * t[j - 1 :: -1, :half]  # K_{-m}(n) = (-1)^{j+n} K_m(n)
+        t[:, half:] = sign[:, None] * t[:, j - 1 :: -1]  # K_m(-n) = (-1)^{j+m} K_m(n)
+        t += 0.0  # -0.0 + 0.0 is +0.0
     return _adopt(KravchukTable, dim, poly, func)
 
 

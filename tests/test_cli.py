@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 
@@ -566,6 +567,19 @@ class TestKravchukTableCommand:
         code, out, _ = run_cli(capsys, "kravchuk-table", "--dim", str(d))
         assert code == 0
         assert out == per_entry_csv(["m", "n", "poly", "func"], rows)
+
+    @pytest.mark.parametrize(
+        "d, digest",
+        [
+            (101, "b0375d999e6b9b76376dd9a16bf4c983c6f3f62c50a971d2f10938135e020c8e"),
+            (201, "bf8eae94b52f283d199925bb1c0ee51055a115504093029fb4f2d281b134e06c"),
+        ],
+    )
+    def test_bytes_golden(self, tmp_path, d, digest):
+        # the table uses no BLAS, so these bytes hold at any BLAS thread count
+        out = tmp_path / "table.csv"
+        assert main(["kravchuk-table", "--dim", str(d), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFrameCheckCommand:

@@ -46,6 +46,23 @@ class TestPlainValues:
             expected = (-1.0) ** n * lattice_sum_brute(d, kappa, n, 0.0, True)
             assert g3[n].real == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "d, kappa", [(3, 0.01), (7, 0.01), (3, 0.3), (5, 0.199), (7, 1 / 7), (15, 0.5)]
+    )
+    def test_g3_against_mpmath(self, d, kappa):
+        # at kappa d < 1 the direct alternating sum cancels (5.8e-6 relative
+        # error at d = 3, kappa = 0.01); the Poisson dual does not
+        dim = GridDim.from_size(d)
+        g3 = gaussian(dim, Family.G3, kappa)
+        reach = int(math.sqrt(170.0 / (kappa * math.pi * d))) + 2
+        with mpmath.workdps(60):
+            c = mpmath.mpf(kappa) * mpmath.pi / d
+            for n in dim.indices().tolist():
+                lattice = range(-reach, reach + 1)
+                terms = ((-1) ** (a % 2) * mpmath.exp(-c * (a * d + n) ** 2) for a in lattice)
+                ref = float((-1) ** (n % 2) * mpmath.fsum(terms))
+                assert abs(g3[n].real - ref) <= 1e-14 * abs(ref)
+
     @pytest.mark.parametrize("fam", list(Family))
     def test_evenness_exact(self, fam, d15):
         v = gaussian(d15, fam).values

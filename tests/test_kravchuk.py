@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finosc import kravchuk
+from finosc import checks
 from finosc.checks import (
     _check_kravchuk,
+    _gram_probe_failures,
+    _hypergeometric_route,
+    _kravchuk_integers,
     _check_oscillators,
     _ladder_oscillator_algebra,
     _su2_commutators,
@@ -68,7 +72,7 @@ class TestPolynomials:
     @pytest.mark.parametrize("d", [45, 61, 101])
     def test_orthogonality_check_exact_where_floats_fail(self, d):
         # the float sum misses 1e-9 from d = 45; the table passes 2^53 at d = 61;
-        # the check's per-entry alternating sum is independent of the table
+        # the check's degree-recurrence integers are independent of the table
         result = _check_kravchuk(GridDim.from_size(d))[0]
         assert result.name == "kravchuk-orthogonality"
         assert result.passed, result.detail
@@ -81,7 +85,7 @@ class TestPolynomials:
         monkeypatch.setattr(kravchuk, "kravchuk_table", lambda dim: wrong)
         result = _check_kravchuk(d7)[0]
         assert not result.passed
-        assert result.detail == "exact: 0 Gram and 1 table entries wrong"
+        assert result.detail == "exact: 1 table entries wrong, 0 of 3 Gram probes failed"
 
 
 class TestTable:
@@ -92,8 +96,9 @@ class TestTable:
         ns = dim.indices().tolist()
         poly = np.array([[kravchuk_polynomial(dim, m, n) for n in ns] for m in ns])
         func = np.array([[kravchuk_function(dim, m, n) for n in ns] for m in ns])
-        assert np.array_equal(t.poly, poly)
-        assert np.array_equal(t.func, func)
+        # bits, not values: -0.0 == 0.0, but the CSV writes -0 for it
+        assert np.array_equal(t.poly.view(np.int64), poly.view(np.int64))
+        assert np.array_equal(t.func.view(np.int64), func.view(np.int64))
 
     def test_read_only_and_cached(self, d7):
         t = kravchuk_table(d7)
@@ -105,6 +110,80 @@ class TestTable:
         poly[0, 0] = func[0, 0] = 99.0
         assert np.array_equal(built.poly, t.poly) and np.array_equal(built.func, t.func)
         assert not built.poly.flags.writeable and not built.func.flags.writeable
+
+
+class TestCheckRoutes:
+    """The O(d^2) exact routes of the Kravchuk identity checks."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 7, 20, 45])
+    def test_integer_oracle_equals_alternating_sum(self, j):
+        ns = range(-j, j + 1)
+        expected = [[kravchuk._kravchuk_polynomial_int(j, m, n) for n in ns] for m in ns]
+        assert _kravchuk_integers(j).tolist() == expected
+
+    def test_checks_pass_at_d201(self):
+        for result in _check_kravchuk(GridDim.from_size(201)):
+            assert result.passed, (result.name, result.detail)
+
+    @pytest.mark.parametrize("d", [15, 31])
+    def test_hypergeometric_route_equals_scalar_route(self, d):
+        dim = GridDim.from_size(d)
+        ns = dim.indices().tolist()
+        scalar = np.array([[kravchuk_function_hypergeometric(dim, m, n) for n in ns] for m in ns])
+        assert np.max(np.abs(_hypergeometric_route(dim) - scalar)) < 1e-15
+
+    @staticmethod
+    def result(dim, name):
+        return next(r for r in _check_kravchuk(dim) if r.name == name)
+
+    def test_sign_flip_in_a_mirrored_quadrant_fails_orthogonality(self, monkeypatch):
+        dim = GridDim.from_size(15)
+        good = kravchuk_table(dim)
+        poly = good.poly.copy()
+        # m = 2, n = 3: rebuilt from the quadrant m, n <= 0 by both reflections
+        assert poly[9, 10] != 0.0
+        poly[9, 10] = -poly[9, 10]
+        wrong = KravchukTable(dim, poly, good.func)
+        monkeypatch.setattr(kravchuk, "kravchuk_table", lambda dim: wrong)
+        result = self.result(dim, "kravchuk-orthogonality")
+        assert not result.passed
+        assert result.detail == "exact: 1 table entries wrong, 0 of 3 Gram probes failed"
+
+    @pytest.mark.parametrize("j", [3, 30])
+    def test_probes_catch_one_wrong_gram_entry(self, j):
+        K = _kravchuk_integers(j)
+        binom = np.array([comb(2 * j, k) for k in range(2 * j + 1)], dtype=object)
+        target = binom * 4**j
+        assert _gram_probe_failures(K, binom, target) == 0
+        # one diagonal entry of diag(target) off by one: exactly one Gram entry wrong
+        target[j + 1] += 1
+        assert _gram_probe_failures(K, binom, target) == checks._GRAM_PROBES == 3
+
+    def test_perturbed_function_entry_fails_hypergeometric_route(self, monkeypatch):
+        dim = GridDim.from_size(15)
+        good = kravchuk_table(dim)
+        func = good.func.copy()
+        func[4, 11] += 1e-8
+        wrong = KravchukTable(dim, good.poly, func)
+        monkeypatch.setattr(kravchuk, "kravchuk_table", lambda dim: wrong)
+        assert not self.result(dim, "kravchuk-hypergeometric-route").passed
+
+    def test_sign_flipped_oracle_row_fails_parity(self, monkeypatch):
+        dim = GridDim.from_size(15)
+        assert self.result(dim, "kravchuk-parity").detail == (
+            "exact: 0 entries break the n reflection, 0 the m reflection"
+        )
+
+        def flipped(j):
+            K = _kravchuk_integers(j)
+            K[j + 2] = -K[j + 2]
+            return K
+
+        monkeypatch.setattr(checks, "_kravchuk_integers", flipped)
+        result = self.result(dim, "kravchuk-parity")
+        assert not result.passed
+        # rows m = +-2 disagree everywhere but at their shared zero K_{+-2}(0)
+        assert result.detail == "exact: 0 entries break the n reflection, 28 the m reflection"
 
 
 class TestFunctions:
