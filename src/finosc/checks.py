@@ -42,6 +42,7 @@ __all__ = ["CheckResult", "run_checks", "GOLDEN_DIM"]
 
 GOLDEN_DIM = GridDim.from_size(3)
 _KAPPAS = (0.5, 1.0, 2.0)
+_STATES_PER_CHUNK = 1024  # coherent states held at once by the resolution check
 
 
 @dataclass(frozen=True)
@@ -456,12 +457,21 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
         err = max(err, _op_err(F @ D(a1, b1) @ F.adjoint(), D(b1, -a1)))
     out.append(_result("displacement-composition-and-rotation", err, 1e-12))
 
+    # unit states, and (1/d) sum_b |a,b><a,b| = diag(|G(n - a)|^2) for each a,
+    # which sums over a to the identity; a few labels a at a time, so that
+    # about _STATES_PER_CHUNK states are held, not d^2
     err = 0.0
+    i = np.arange(d)
     for fam in Family:
-        S = frames.coherent_family(dim, fam).state_matrix()
-        err = max(err, float(np.max(np.abs(np.linalg.norm(S, axis=1) - 1.0))))
-        err = max(err, float(np.max(np.abs(S.T @ S.conj() / d - np.eye(d)))))
-    del S  # d^3 numbers, freed before the frame analysis builds two more
+        family = frames.coherent_family(dim, fam)
+        for a in np.array_split(n, math.ceil(d * d / _STATES_PER_CHUNK)):
+            S = family._states(a[:, None], n)  # [a, b + j, n + j]
+            err = max(err, float(np.max(np.abs(np.linalg.norm(S, axis=2) - 1.0))))
+            blocks = S.transpose(0, 2, 1) @ S.conj()
+            blocks /= d
+            blocks[:, i, i] -= np.abs(family.fiducial.values[(n - a[:, None] + j) % d]) ** 2
+            err = max(err, float(np.max(np.abs(blocks))))
+    del S, blocks  # freed before the frame analysis builds two (d^2, d) arrays
     out.append(_result("coherent-resolution-of-identity", err, 1e-10))
 
     # F |a, b>_2 = |b, -a>_3, for every b at once

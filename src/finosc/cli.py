@@ -11,6 +11,7 @@ library's own input rules or by the few flags only the command line has.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -103,13 +104,23 @@ def _write_csv(cfg: RunConfig, header: list[str], row_format: str, rows) -> None
     _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
 
 
+_SIGN_BIT = np.int64(-(2**63))
+
+
 def _format_floats(a: np.ndarray) -> np.ndarray:
     """``"%.17g" % x`` for every entry x of the float array ``a``, as an object
-    array of its shape.  Each distinct bit pattern is formatted once; keying on
-    bits, not values, keeps -0.0 apart from 0.0."""
+    array of its shape.  Keyed on bits, not values, so -0.0 stays apart from
+    0.0.  Each distinct magnitude is formatted once, and a distinct bit
+    pattern with the sign bit set takes its magnitude's text with a ``-`` in
+    front, except a NaN, which prints as ``nan`` whatever its sign."""
     a = np.ascontiguousarray(a, dtype=float)
     bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    magnitudes, to_magnitude = np.unique(bits & ~_SIGN_BIT, return_inverse=True)
+    text = np.array(["%.17g" % x for x in magnitudes.view(float).tolist()], dtype=object)[to_magnitude]
+    # the sign bit makes an int64 negative, so negative patterns sort first
+    negative = np.searchsorted(bits, 0)
+    signed = ~np.isnan(bits[:negative].view(float))
+    text[:negative][signed] = "-" + text[:negative][signed]
     return text[inverse.reshape(a.shape)]
 
 
@@ -389,8 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing keeps no state
+    in it, and a process that runs many commands builds it once."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_build_config(args))
     except InputError as exc:

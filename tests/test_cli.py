@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from finosc.gaussians import Family, normalized_gaussian
 from finosc.grid import GridDim, GridFunction, eigendecompose_hermitian, inner_product
 from finosc.kravchuk import kravchuk_table
 from finosc.wigner import wigner
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +341,22 @@ class TestGridWriters:
         assert text.shape == t.shape and text.dtype == object
         assert text.tolist() == [["%.17g" % x for x in row] for row in t.tolist()]
 
+    def test_format_floats_signs_and_specials(self):
+        # each magnitude is formatted once and a set sign bit prefixes "-",
+        # except on a NaN; -2.5 has no positive twin, 7.25 no negative one
+        nans = [0xFFF8000000000000, 0x7FF8000000000000, 0xFFF0000000000001, 0x7FF0000000000001]
+        bits = np.array(nans, dtype=np.uint64)
+        t = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5, -2.5, 7.25, 5e-324, -5e-324, *bits.view(float)])
+        text = cli._format_floats(t.reshape(2, 7))
+        assert text.reshape(-1).tolist() == [
+            "0", "-0", "inf", "-inf", "1.5", "-1.5", "-2.5", "7.25",
+            "4.9406564584124654e-324", "-4.9406564584124654e-324", "nan", "nan", "nan", "nan",
+        ]
+
+    def test_format_floats_without_negatives(self):
+        text = cli._format_floats(np.array([[2.0, 0.0], [np.nan, 2.0]]))
+        assert text.tolist() == [["2", "0"], ["nan", "2"]]
+
     @pytest.mark.parametrize("d", [3, 101])
     def test_heatmap_matches_ndenumerate_reference(self, d):
         M = np.random.default_rng(d).normal(size=(d, d))
@@ -580,6 +602,90 @@ class TestKravchukTableCommand:
         out = tmp_path / "table.csv"
         assert main(["kravchuk-table", "--dim", str(d), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestWignerBytes:
+    def test_g4_golden_at_one_blas_thread(self, tmp_path):
+        # the map is a BLAS product, whose trailing digits depend on the
+        # thread count, so the bytes are pinned in a process with one thread
+        out = tmp_path / "w.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["wigner", "--family", "g4", "--dim", "201", "--out", str(out)]
+        probe = f"import sys; from finosc.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digest = "395847e35dbb2f15d892732d0174dda49e947100750df024dc07533fb1347431"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a reused parser answers a
+    valid call, a usage error, an InputError and another valid call exactly as
+    a fresh parser per call does."""
+
+    SEQUENCE = [
+        ["gaussian", "--dim", "5", "--family", "g1"],
+        ["spectrum", "--dim", "5", "--kind", "nonsense"],
+        ["gaussian", "--dim", "4", "--family", "g1"],
+        ["spectrum", "--dim", "7", "--kind", "harper"],
+    ]
+
+    def outcomes(self, capsys):
+        seen = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    def test_same_output_as_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        reused = self.outcomes(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys)
+        assert [code for code, _, _ in reused] == [0, 2, 2, 0]
+        assert "invalid choice" in reused[1][2] and reused[2][2].startswith("error: ")
+        assert reused == fresh
+
+    def test_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            self.outcomes(capsys)
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+
+class TestTraceContract:
+    """The benchmark traces frames.frame_analyze and frames.quantize by
+    replacing them, by identity, in every finosc module namespace; the
+    commands must reach them through those names."""
+
+    def test_commands_reach_the_traced_functions(self, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("frame_analyze", "quantize"):
+            orig = getattr(frames, name)
+
+            def counting(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _orig(*args, **kwargs)
+
+            modules = [m for key, m in sys.modules.items() if key == "finosc" or key.startswith("finosc.")]
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, counting)
+        out = str(tmp_path / "out.csv")
+        assert main(["frame-check", "--family", "g4", "--dim", "7", "--out", out]) == 0
+        assert calls == {"frame_analyze": 1}
+        assert main(["spectrum", "--kind", "frame", "--family", "g2", "--dim", "7", "--out", out]) == 0
+        assert calls == {"frame_analyze": 1, "quantize": 1}
 
 
 class TestFrameCheckCommand:

@@ -29,6 +29,7 @@ from finosc.grid import (
     fourier_transform,
     inner_product,
 )
+from finosc.grid import _phase
 from conftest import rand_state
 
 S3 = 1 / math.sqrt(3)
@@ -266,20 +267,17 @@ class TestFrameAnalysis:
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("d", [5, 31])
     def test_array_and_grid_functions_agree_bitwise(self, family, d):
-        # the (N, d) array path and the GridFunction path sum the same row
-        # blocks, so bounds and weights agree to the last bit
+        # the (N, d) array path and the GridFunction path form the same real
+        # rank-k product, so bounds and weights agree to the last bit
         dim = GridDim.from_size(d)
         fam = coherent_family(dim, family)
         scale = 1.0 / math.sqrt(d)
         objects = [fam.state(a, b) * scale for a in dim.indices() for b in dim.indices()]
         by_array = frame_analyze(fam.state_matrix() * scale)
         by_objects = frame_analyze(objects)
-        # reference: the frame operator summed over blocks of d vectors, one
-        # d x d product each, never as one d^2 x d product
-        S = np.zeros((d, d), dtype=complex)
-        for start in range(0, d * d, d):
-            block = np.array([v.values for v in objects[start : start + d]])
-            S += block.T @ block.conj()
+        # reference: the frame operator read off the real Gram matrix of the
+        # rows as one (d^2, 2d) real array
+        S = rank_k_sum(np.array([v.values for v in objects]))
         expected = eigendecompose_hermitian(LinearOperator(dim, S)).eigenvalues
         assert by_array.lower == by_objects.lower == expected[0]
         assert by_array.upper == by_objects.upper == expected[-1]
@@ -332,6 +330,90 @@ class TestFrameAnalysis:
                 tuple(2.0 * GridFunction.delta(d3, k) for k in d3.indices()),
                 np.ones(3),
             )
+
+
+def rank_k_sum(rows):
+    """sum_i |u_i><u_i| from G = Z^T Z, Z the rows as a real (N, 2d) array:
+    re S = G[even, even] + G[odd, odd], im S = G[odd, even] - G[even, odd]."""
+    Z = rows.view(float)
+    G = Z.T @ Z
+    S = (G[::2, ::2] + G[1::2, 1::2]).astype(complex)
+    S.imag = G[1::2, ::2] - G[::2, 1::2]
+    return S
+
+
+def complex_block_sum(rows, weights):
+    """sum_i w_i |u_i><u_i| as d x d complex products over blocks of d rows."""
+    d = rows.shape[1]
+    S = np.zeros((d, d), dtype=complex)
+    for start in range(0, len(rows), d):
+        block = rows[start : start + d]
+        S += (block.T * weights[start : start + d]) @ block.conj()
+    return S
+
+
+def frame_systems(d):
+    """Named (rows, weights) systems: the scaled g4 coherent family, whose S is
+    the identity, and random complex rows with random weights, whose S has an
+    imaginary part of the size of its real part."""
+    rng = np.random.default_rng(d)
+    coherent = coherent_family(GridDim.from_size(d), Family.G4).state_matrix() / math.sqrt(d)
+    rows = rng.normal(size=(3 * d + 2, d)) + 1j * rng.normal(size=(3 * d + 2, d))
+    return {
+        "coherent": (coherent, np.ones(d * d)),
+        "random": (rows, rng.uniform(0.5, 2.0, size=len(rows))),
+    }
+
+
+class TestRankKFrameSums:
+    """The frame operator as one real symmetric product of the rows."""
+
+    @pytest.mark.parametrize("d", [5, 31, 101])
+    def test_exactly_hermitian(self, d):
+        for rows, weights in frame_systems(d).values():
+            for w in (None, weights):
+                S, _ = frames._frame_sums(rows, w)
+                assert np.array_equal(S, S.conj().T)
+
+    @pytest.mark.parametrize("d", [5, 31, 101])
+    def test_agrees_with_the_complex_block_sum(self, d):
+        for rows, weights in frame_systems(d).values():
+            for w in (None, weights):
+                S, norms = frames._frame_sums(rows, w)
+                expected = complex_block_sum(rows, np.ones(len(rows)) if w is None else w)
+                assert np.max(np.abs(S - expected)) <= 1e-14 * np.linalg.norm(expected, 2)
+                assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
+
+    def test_unweighted_sum_is_the_rank_k_formula_bitwise(self):
+        for rows, _ in frame_systems(31).values():
+            assert np.array_equal(frames._frame_sums(rows, None)[0], rank_k_sum(rows))
+
+    def test_forms_no_full_size_temporary(self):
+        import tracemalloc
+
+        rows, weights = frame_systems(101)["coherent"]
+        for w in (None, weights):
+            tracemalloc.start()
+            frames._frame_sums(rows, w)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < rows.nbytes / 8
+
+    def test_weighted_validation_refuses_broken_frames(self):
+        d = 7
+        dim = GridDim.from_size(d)
+        unit = coherent_family(dim, Family.G2).state_matrix()
+        weights = np.full(d * d, 1.0 / d)
+        FiniteFrame(dim, unit, weights)
+        moved = unit.copy()
+        moved[5] = unit[6]  # one state replaced by another unit vector
+        with pytest.raises(ValueError, match="do not resolve the identity"):
+            FiniteFrame(dim, moved, weights)
+        tilted = weights.copy()
+        tilted[:d] *= 1.5  # one alpha weighted more, another less, same total
+        tilted[d : 2 * d] *= 0.5
+        with pytest.raises(ValueError, match="do not resolve the identity"):
+            FiniteFrame(dim, unit, tilted)
 
 
 # --- the dense and tensor constructions that the structured ones replaced,
@@ -530,6 +612,100 @@ class TestStructuredWeylHeisenberg:
         assert list(inspect.signature(coherent_family).parameters) == ["dim", "family"]
         assert list(inspect.signature(kravchuk.kravchuk_table).parameters) == ["dim"]
         assert coherent_family.cache_info() and kravchuk.kravchuk_table.cache_info()
+
+
+def complex_fiducial_family(d, seed):
+    """A coherent family displaced from a random complex unit vector, so that
+    every conjugation in the maps shows (the Gaussians are real)."""
+    dim = GridDim.from_size(d)
+    return frames.CoherentFamily(dim, Family.G1, rand_state(dim, seed, normalize=True))
+
+
+class TestFFTMaps:
+    """quantize and dequantize as one FFT pair, against formulas that share
+    no code with them: the tensor sum, the states themselves, and adjointness."""
+
+    @pytest.mark.parametrize("d", [3, 7, 31])
+    def test_complex_fiducial_agrees_with_tensor_formula(self, d):
+        fam = complex_fiducial_family(d, d)
+        rng = np.random.default_rng(d)
+        table = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = quantize(fam, lambda a, b: table[a + fam.dim.j, b + fam.dim.j]).matrix
+        expected = tensor_quantize(fam, table)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = tensor_dequantize(fam, M)
+        got = dequantize(fam, LinearOperator(fam.dim, M))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d", [201, 401])
+    def test_point_symbol_is_one_scaled_projector(self, d):
+        """f = 1 at one label only gives (1/d) |a,b><a,b|, and the symbol of a
+        random M at that label is <a,b| M |a,b>, with the state built directly."""
+        fam = complex_fiducial_family(d, 7)
+        j = fam.dim.j
+        M = np.random.default_rng(d).normal(size=(d, d)) + 0j
+        symbol = dequantize(fam, LinearOperator(fam.dim, M))
+        for a, b in [(0, 0), (3, -j), (-j, 5), (j, j - 1)]:
+            psi = fam.state(a, b).values
+            A = quantize(fam, lambda x, y: 1.0 if (x, y) == (a, b) else 0.0).matrix
+            expected = np.outer(psi, psi.conj()) / d
+            assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert abs(symbol[a + j, b + j] - psi.conj() @ M @ psi) <= 1e-12 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("d", [201, 401])
+    def test_hilbert_schmidt_adjoint(self, d):
+        """tr(A_f^+ M) = (1/d) sum_{a,b} conj(f(a,b)) f_M(a,b)."""
+        rng = np.random.default_rng(d)
+        fam = complex_fiducial_family(d, 11)
+        f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        j = fam.dim.j
+        A = quantize(fam, lambda a, b: f[a + j, b + j]).matrix
+        fM = dequantize(fam, LinearOperator(fam.dim, M))
+        terms = f.conj() * fM / d
+        assert abs(np.vdot(A, M) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+    def test_fft_module_is_loaded_only_by_the_maps(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys; from finosc.cli import main; "
+            "main(['kravchuk-table', '--dim', '5', '--out', sys.argv[1]]); "
+            "assert 'numpy.fft' not in sys.modules, 'loaded by kravchuk-table'; "
+            "main(['spectrum', '--kind', 'frame', '--family', 'g1', '--dim', '5', '--out', sys.argv[1]]); "
+            "assert 'numpy.fft' in sys.modules"
+        )
+        out = subprocess.run([sys.executable, "-c", probe, "/dev/null"], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+
+def _mutant_states(defect):
+    """CoherentFamily._states with one defect, for the resolution check."""
+    orig = frames.CoherentFamily._states
+
+    def mutant(self, alpha, beta):
+        if defect == "shift":
+            return orig(self, np.asarray(alpha) + 1, beta)  # G(n - alpha - 1)
+        half = _phase(self.dim.d, -np.asarray(beta)[..., None] * self.dim.indices())
+        return orig(self, alpha, beta) * half  # modulation e^{i pi beta n/d}
+
+    return mutant
+
+
+class TestCoherentResolutionPerAlpha:
+    @pytest.mark.parametrize("d", [3, 15, 101])
+    def test_passes_at_roundoff(self, d):
+        results = {r.name: r for r in _check_frames(GridDim.from_size(d))}
+        result = results["coherent-resolution-of-identity"]
+        assert result.passed and float(result.detail.split()[2]) < 1e-14
+
+    @pytest.mark.parametrize("defect", ["shift", "half-modulation"])
+    def test_defects_fail(self, defect, monkeypatch):
+        monkeypatch.setattr(frames.CoherentFamily, "_states", _mutant_states(defect))
+        results = {r.name: r for r in _check_frames(GridDim.from_size(7))}
+        assert not results["coherent-resolution-of-identity"].passed
 
 
 def _mutant_schwinger(defect):
