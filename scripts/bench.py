@@ -34,8 +34,10 @@ may map at most MEMORY_LIMIT_MIB of address space, so that a tree which builds
 d^3 arrays cannot exhaust the machine at large d; a cell whose worker runs out
 is marked ``out_of_memory`` in the same way.
 
+``--cells`` times a comma-separated subset of these cells (default: all).
+
 Usage: python scripts/bench.py [--src LABEL=DIR ...] [--dims 101,201,401]
-                               [--out FILE]
+                               [--cells CELL,...] [--out FILE]
 """
 
 from __future__ import annotations
@@ -183,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         help="a source tree to time (repeatable); default: this checkout's src as 'current'",
     )
     parser.add_argument("--dims", default="101,201,401", help="comma-separated odd dimensions")
+    parser.add_argument("--cells", default=",".join(CELLS), help="comma-separated cells to time (default: all)")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: stdout)")
     parser.add_argument("--worker", nargs=2, metavar=("CELL", "D"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -200,10 +203,14 @@ def main(argv: list[str] | None = None) -> int:
     dims = [int(x) for x in args.dims.split(",")]
     if any(d < 3 or d % 2 == 0 for d in dims):
         parser.error(f"--dims must be odd and at least 3, got {args.dims}")
+    cells = args.cells.split(",")
+    unknown = sorted(set(cells) - set(CELLS))
+    if unknown:
+        parser.error(f"--cells: unknown {', '.join(unknown)}; choose from {', '.join(CELLS)}")
 
-    results = {label: {cell: {} for cell in CELLS} for label in trees}
+    results = {label: {cell: {} for cell in cells} for label in trees}
     order = list(trees)
-    for cell in CELLS:
+    for cell in cells:
         for d in dims:
             runs = {label: [] for label in trees}
             for _ in range(REPEAT):
@@ -218,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "machine": machine_facts(),
         "dims": dims,
+        "cells": cells,
         "repeat": REPEAT,
         "timeout_s": TIMEOUT_S,
         "memory_limit_mib": MEMORY_LIMIT_MIB,

@@ -471,7 +471,7 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
             blocks /= d
             blocks[:, i, i] -= np.abs(family.fiducial.values[(n - a[:, None] + j) % d]) ** 2
             err = max(err, float(np.max(np.abs(blocks))))
-    del S, blocks  # freed before the frame analysis builds two (d^2, d) arrays
+    del S, blocks  # freed before the frame analysis builds its (d^2, d) array
     out.append(_result("coherent-resolution-of-identity", err, 1e-10))
 
     # F |a, b>_2 = |b, -a>_3, for every b at once
@@ -486,9 +486,7 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
 
     diag = frames.frame_analyze([GridFunction.delta(dim, k) for k in dim.indices()])
     ok = diag.is_tight and diag.frame is not None and abs(diag.frame.weights.sum() - d) < 1e-10
-    rows = fam1.state_matrix()
-    rows /= math.sqrt(d)
-    diag2 = frames.frame_analyze(rows)
+    diag2 = frames.frame_analyze(fam1)
     ok = ok and diag2.is_tight and diag2.frame is not None
     ok = ok and abs(diag2.frame.weights.sum() - d) < 1e-10
     single = frames.frame_analyze([GridFunction.delta(dim, 0)])

@@ -320,9 +320,7 @@ def _cmd_kravchuk_table(cfg: RunConfig) -> int:
 
 
 def _cmd_frame_check(cfg: RunConfig) -> int:
-    rows = frames.coherent_family(cfg.dim, cfg.family).state_matrix()
-    rows *= 1.0 / math.sqrt(cfg.dim.d)
-    diag = frames.frame_analyze(rows, tol=cfg.tol)
+    diag = frames.frame_analyze(frames.coherent_family(cfg.dim, cfg.family), tol=cfg.tol)
     weight_sum = float(diag.frame.weights.sum()) if diag.frame is not None else float("nan")
     _write_csv(
         cfg,

@@ -8,12 +8,16 @@ back.  No d^3 array is held: the operators are monomial (one nonzero per
 row) and a family stores only G.  Both maps sum over beta first, which
 leaves one cyclic convolution in alpha per diagonal of A_f, all done by one
 FFT pair in d x d arrays.  The frame operator of an (N, d) vector system is
-read off one real rank-k product of its rows.
+read off one real rank-k product of its rows.  ``frame_analyze`` takes a
+CoherentFamily as the scaled system of its d^2 states and then holds one
+(d^2, d) array: rows it built itself are normalized in place, and only an
+array the caller passed is copied.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -256,14 +260,22 @@ def frame_analyze(
 ) -> FrameDiagnostics:
     """Classify a vector system by the spectrum of its frame operator.
 
-    ``vectors`` is an (N, d) array with one vector per row, or a sequence of
-    GridFunctions.  The system is a frame iff the lower bound is positive,
-    and tight iff the eigenvalue spread is at most ``tol``.  When tight with common bound 1 the
-    normalized FiniteFrame (kappa_i = ||w_i||^2) is attached; a tight frame
-    with a different bound gets ``frame=None`` since its weight decomposition
-    resolves a multiple of the identity instead.
+    ``vectors`` is an (N, d) array with one vector per row, a sequence of
+    GridFunctions, or a CoherentFamily, which stands for its d^2 states
+    scaled by 1/sqrt(d) (weights 1/d, bound 1).  The system is a frame iff
+    the lower bound is positive, and tight iff the eigenvalue spread is at
+    most ``tol``.  When tight with common bound 1 the normalized FiniteFrame
+    (kappa_i = ||w_i||^2) is attached; a tight frame with a different bound
+    gets ``frame=None`` since its weight decomposition resolves a multiple
+    of the identity instead.  The rows of a family or a sequence are built
+    here and normalized in place for that frame; an array the caller passed
+    is copied and never written.
     """
-    W = np.ascontiguousarray(_stack(vectors, 0), dtype=complex)
+    if isinstance(vectors, CoherentFamily):
+        W = vectors.state_matrix()
+        W *= 1.0 / math.sqrt(vectors.dim.d)
+    else:
+        W = np.ascontiguousarray(_stack(vectors, 0), dtype=complex)
     if W.ndim != 2 or not W.size:
         raise ValueError(f"expected a non-empty (N, d) vector system, got shape {W.shape}")
     dim = GridDim.from_size(W.shape[1])
@@ -281,5 +293,7 @@ def frame_analyze(
         weights = norms * norms
         _check_resolution(S, weights)
         # the values of W / norms, by the reciprocal instead of a complex division
-        frame = _adopt(FiniteFrame, dim, W * (1.0 / norms)[:, None], weights)
+        owned = not isinstance(vectors, np.ndarray)
+        rows = np.multiply(W, (1.0 / norms)[:, None], out=W if owned else None)
+        frame = _adopt(FiniteFrame, dim, rows, weights)
     return FrameDiagnostics(lower, upper, is_frame, is_tight, frame)

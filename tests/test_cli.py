@@ -604,19 +604,37 @@ class TestKravchukTableCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def one_thread_digest(tmp_path, argv):
+    """sha256 of the file ``finosc *argv --out FILE`` writes in a fresh process
+    with one BLAS thread: the trailing digits of a BLAS product depend on the
+    thread count, so bytes are pinned at one thread."""
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [*argv, "--out", str(out)]
+    probe = f"import sys; from finosc.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 class TestWignerBytes:
     def test_g4_golden_at_one_blas_thread(self, tmp_path):
-        # the map is a BLAS product, whose trailing digits depend on the
-        # thread count, so the bytes are pinned in a process with one thread
-        out = tmp_path / "w.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        argv = ["wigner", "--family", "g4", "--dim", "201", "--out", str(out)]
-        probe = f"import sys; from finosc.cli import main; sys.exit(main({argv!r}))"
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
         digest = "395847e35dbb2f15d892732d0174dda49e947100750df024dc07533fb1347431"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert one_thread_digest(tmp_path, ["wigner", "--family", "g4", "--dim", "201"]) == digest
+
+
+class TestFrameCheckBytes:
+    @pytest.mark.parametrize(
+        "family, d, digest",
+        [
+            ("g4", 101, "91b97b225a1da48d047ca3ca0c066210fc69a7aaccfda694b9058ca68a31523a"),
+            ("g1", 61, "900d3d966bab3a85977ed47adfe5fc49fc496681798b4147e59e89450d1d96e6"),
+        ],
+    )
+    def test_golden_at_one_blas_thread(self, tmp_path, family, d, digest):
+        # the bounds come from the BLAS rank-k product of the scaled family
+        assert one_thread_digest(tmp_path, ["frame-check", "--family", family, "--dim", str(d)]) == digest
 
 
 class TestParserReuse:

@@ -285,6 +285,48 @@ class TestFrameAnalysis:
         assert np.array_equal(by_array.frame.weights, by_objects.frame.weights)
         assert np.array_equal(by_array.frame.rows, by_objects.frame.rows)
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("d", [5, 31, 101])
+    def test_family_is_its_scaled_state_matrix_bitwise(self, family, d):
+        fam = coherent_family(GridDim.from_size(d), family)
+        by_family = frame_analyze(fam)
+        by_array = frame_analyze(fam.state_matrix() * (1 / math.sqrt(d)))
+        assert by_family.lower == by_array.lower
+        assert by_family.upper == by_array.upper
+        assert by_family.is_tight and by_array.is_tight
+        assert by_family.frame is not None and by_array.frame is not None
+        assert np.array_equal(by_family.frame.weights, by_array.frame.weights)
+        assert np.array_equal(by_family.frame.rows, by_array.frame.rows)
+
+    def test_callers_vectors_are_never_written(self):
+        d = 7
+        fam = coherent_family(GridDim.from_size(d), Family.G2)
+        rows = fam.state_matrix() * (1 / math.sqrt(d))
+        before = rows.copy()
+        frame = frame_analyze(rows).frame
+        assert frame is not None and np.array_equal(rows, before)
+        assert not np.shares_memory(frame.rows, rows)
+        assert np.array_equal(frame.rows, rows * (1.0 / np.linalg.norm(rows, axis=1))[:, None])
+
+        states = [GridFunction(fam.dim, row) for row in rows]
+        frame = frame_analyze(states).frame
+        assert frame is not None
+        assert all(np.array_equal(s.values, row) for s, row in zip(states, before))
+        assert not any(np.shares_memory(frame.rows, s.values) for s in states)
+
+    def test_family_holds_one_state_matrix(self):
+        import tracemalloc
+
+        d = 101
+        fam = coherent_family(GridDim.from_size(d), Family.G4)
+        frame_analyze(fam)  # warm every cache outside the traced region
+        tracemalloc.start()
+        diag = frame_analyze(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert diag.frame is not None
+        assert peak < 1.25 * diag.frame.rows.nbytes
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_parseval_identity(self, seed):

@@ -3,6 +3,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -64,3 +66,19 @@ def test_bench_d7(tmp_path):
         assert cells[cell]["7"]["status"] == ["ok"]
     for cli_cell in ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner"):
         assert cells[cli_cell]["7"]["status"] == ["exit 0"]
+
+
+def test_bench_cells_subset(tmp_path):
+    out = tmp_path / "bench.json"
+    assert load("bench").main(["--cells", "cli_frame_check", "--dims", "7", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["cells"] == ["cli_frame_check"]
+    assert list(report["results"]["current"]) == ["cli_frame_check"]
+    assert report["results"]["current"]["cli_frame_check"]["7"]["status"] == ["exit 0"]
+
+
+def test_bench_refuses_an_unknown_cell(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("bench").main(["--cells", "cli_frame_check,nope", "--dims", "7"])
+    assert exc.value.code == 2
+    assert "unknown nope" in capsys.readouterr().err
