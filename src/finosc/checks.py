@@ -471,7 +471,6 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
             blocks /= d
             blocks[:, i, i] -= np.abs(family.fiducial.values[(n - a[:, None] + j) % d]) ** 2
             err = max(err, float(np.max(np.abs(blocks))))
-    del S, blocks  # freed before the frame analysis builds its (d^2, d) array
     out.append(_result("coherent-resolution-of-identity", err, 1e-10))
 
     # F |a, b>_2 = |b, -a>_3, for every b at once
@@ -484,13 +483,10 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
     err = max(err, float(np.max(np.abs(frames.dequantize(fam1, I) - 1.0))))
     out.append(_result("quantization-constant", err, 1e-10))
 
-    diag = frames.frame_analyze([GridFunction.delta(dim, k) for k in dim.indices()])
-    ok = diag.is_tight and diag.frame is not None and abs(diag.frame.weights.sum() - d) < 1e-10
-    diag2 = frames.frame_analyze(fam1)
-    ok = ok and diag2.is_tight and diag2.frame is not None
-    ok = ok and abs(diag2.frame.weights.sum() - d) < 1e-10
-    single = frames.frame_analyze([GridFunction.delta(dim, 0)])
-    ok = ok and not single.is_frame
+    canonical = [GridFunction.delta(dim, k) for k in dim.indices()]
+    parseval = (frames.frame_analyze(canonical), frames.frame_analyze(fam1))
+    ok = all(diag.is_tight and abs(diag.weight_sum - d) < 1e-10 for diag in parseval)
+    ok = ok and not frames.frame_analyze(canonical[:1]).is_frame
     out.append(CheckResult("frame-analysis", ok, "canonical, scaled coherent, deficient"))
     return out
 

@@ -321,14 +321,13 @@ def _cmd_kravchuk_table(cfg: RunConfig) -> int:
 
 def _cmd_frame_check(cfg: RunConfig) -> int:
     diag = frames.frame_analyze(frames.coherent_family(cfg.dim, cfg.family), tol=cfg.tol)
-    weight_sum = float(diag.frame.weights.sum()) if diag.frame is not None else float("nan")
     _write_csv(
         cfg,
         ["lower", "upper", "spread", "weight_sum", "tight"],
         "%.17g,%.17g,%.17g,%.17g,%d",
-        [(diag.lower, diag.upper, diag.upper - diag.lower, weight_sum, diag.is_tight)],
+        [(diag.lower, diag.upper, diag.upper - diag.lower, diag.weight_sum, diag.is_tight)],
     )
-    return 0 if diag.is_tight and diag.frame is not None else 1
+    return 1 if math.isnan(diag.weight_sum) else 0  # 0 only for a Parseval frame
 
 
 _COMMANDS = {

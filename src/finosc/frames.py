@@ -8,10 +8,10 @@ back.  No d^3 array is held: the operators are monomial (one nonzero per
 row) and a family stores only G.  Both maps sum over beta first, which
 leaves one cyclic convolution in alpha per diagonal of A_f, all done by one
 FFT pair in d x d arrays.  The frame operator of an (N, d) vector system is
-read off one real rank-k product of its rows.  ``frame_analyze`` takes a
-CoherentFamily as the scaled system of its d^2 states and then holds one
-(d^2, d) array: rows it built itself are normalized in place, and only an
-array the caller passed is copied.
+read off one real rank-k product of its rows.  ``frame_analyze`` reads that
+of a CoherentFamily off Walnut's representation instead: the sum over beta
+leaves S = diag(s), s_n = sum_alpha |G(n - alpha)|^2, in O(d^2) work and
+memory, and no row of the family is built.
 """
 
 from __future__ import annotations
@@ -201,6 +201,15 @@ def _frame_sums(rows: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarra
     return total, norms
 
 
+def _vector_system(vectors) -> np.ndarray:
+    """GridFunctions or an (N, d) array as a C-ordered complex (N, d) array,
+    N, d >= 1; a caller's array may come back as is, so it is never written."""
+    W = np.ascontiguousarray(_stack(vectors, 0), dtype=complex)
+    if W.ndim != 2 or not W.size:
+        raise ValueError(f"expected a non-empty (N, d) vector system, got shape {W.shape}")
+    return W
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FiniteFrame:
     """Unit vectors u_i (the rows of ``rows``; ``vectors`` are read-only
@@ -215,7 +224,8 @@ class FiniteFrame:
     weights: np.ndarray
 
     def __init__(self, dim, vectors, weights):
-        rows = _readonly_copy(_stack(vectors, 0), complex, (len(vectors), dim.d))
+        W = _vector_system(vectors)
+        rows = _readonly_copy(W, complex, (len(W), dim.d))
         w = np.array(weights, dtype=float)
         if len(w) != len(rows):
             raise ValueError("one weight per vector required")
@@ -242,15 +252,28 @@ def _check_resolution(resolution: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError(f"weights sum to {weights.sum():.12g}, expected d = {d}")
 
 
+def _walnut_diagonal(family: CoherentFamily) -> np.ndarray:
+    """s_n = sum_alpha |G(n - alpha)|^2, indexed [n + j]: the frame operator
+    (1/d) sum_{alpha,beta} |alpha,beta><alpha,beta| of the scaled family is
+    diag(s), because the sum over beta of e^{2 pi i beta (m - n)/d} cancels
+    every entry off the diagonal (Walnut's representation)."""
+    j, d, n = family.dim.j, family.dim.d, family.dim.indices()
+    return (np.abs(family.fiducial.values) ** 2)[(n[:, None] - n + j) % d].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class FrameDiagnostics:
-    """Extreme eigenvalues of the frame operator S = sum |w_i><w_i|."""
+    """Extreme eigenvalues of the frame operator S = sum |w_i><w_i|.  For a
+    Parseval system (tight with bound 1) ``weight_sum`` is sum kappa_i = tr S
+    and, unless it is a CoherentFamily, ``frame`` its normalized FiniteFrame;
+    otherwise they are NaN and None."""
 
     lower: float
     upper: float
     is_frame: bool
     is_tight: bool
     frame: FiniteFrame | None
+    weight_sum: float
 
 
 def frame_analyze(
@@ -264,36 +287,33 @@ def frame_analyze(
     GridFunctions, or a CoherentFamily, which stands for its d^2 states
     scaled by 1/sqrt(d) (weights 1/d, bound 1).  The system is a frame iff
     the lower bound is positive, and tight iff the eigenvalue spread is at
-    most ``tol``.  When tight with common bound 1 the normalized FiniteFrame
-    (kappa_i = ||w_i||^2) is attached; a tight frame with a different bound
-    gets ``frame=None`` since its weight decomposition resolves a multiple
-    of the identity instead.  The rows of a family or a sequence are built
-    here and normalized in place for that frame; an array the caller passed
-    is copied and never written.
+    most ``tol``.  When tight with common bound 1, S is checked against the
+    identity and kappa_i = ||w_i||^2 are summed; an array or a sequence also
+    gets its FiniteFrame, on new unit rows.  A family's S is the diagonal
+    ``_walnut_diagonal``, read without its rows or an eigensolve.
     """
     if isinstance(vectors, CoherentFamily):
-        W = vectors.state_matrix()
-        W *= 1.0 / math.sqrt(vectors.dim.d)
+        dim, s = vectors.dim, _walnut_diagonal(vectors)
+        # S = diag(s) has the eigenvalues s, and sum kappa_i = tr S = sum s
+        S, eigs, weights = np.diag(s), s, s
     else:
-        W = np.ascontiguousarray(_stack(vectors, 0), dtype=complex)
-    if W.ndim != 2 or not W.size:
-        raise ValueError(f"expected a non-empty (N, d) vector system, got shape {W.shape}")
-    dim = GridDim.from_size(W.shape[1])
-    S, norms = _frame_sums(W, None)
-    if np.any(norms == 0.0):
-        raise ValueError("frame vectors must be non-null")
-    eigs = hermitian_eigenvalues(_adopt(LinearOperator, dim, S), config)
-    lower = float(eigs[0])
-    upper = float(eigs[-1])
-    is_frame = lower > tol * upper
-    is_tight = (upper - lower) <= tol
-    frame = None
-    if is_tight and abs(upper - 1.0) <= tol:
+        W = _vector_system(vectors)
+        dim = GridDim.from_size(W.shape[1])
+        S, norms = _frame_sums(W, None)
+        if np.any(norms == 0.0):
+            raise ValueError("frame vectors must be non-null")
+        eigs = hermitian_eigenvalues(_adopt(LinearOperator, dim, S), config)
         # kappa_i |u_i><u_i| = |w_i><w_i|, so S is the unit rows' resolution
         weights = norms * norms
+    lower = float(eigs.min())
+    upper = float(eigs.max())
+    is_frame = lower > tol * upper
+    is_tight = (upper - lower) <= tol
+    frame, weight_sum = None, math.nan
+    if is_tight and abs(upper - 1.0) <= tol:
         _check_resolution(S, weights)
-        # the values of W / norms, by the reciprocal instead of a complex division
-        owned = not isinstance(vectors, np.ndarray)
-        rows = np.multiply(W, (1.0 / norms)[:, None], out=W if owned else None)
-        frame = _adopt(FiniteFrame, dim, rows, weights)
-    return FrameDiagnostics(lower, upper, is_frame, is_tight, frame)
+        weight_sum = float(weights.sum())
+        if not isinstance(vectors, CoherentFamily):
+            # the values of W / norms, by the reciprocal instead of a complex division
+            frame = _adopt(FiniteFrame, dim, W * (1.0 / norms)[:, None], weights)
+    return FrameDiagnostics(lower, upper, is_frame, is_tight, frame, weight_sum)

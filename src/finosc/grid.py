@@ -112,8 +112,12 @@ def _adopt(cls, *fields):
 
 
 def _stack(vectors, axis: int) -> np.ndarray:
-    """``vectors`` as an array: GridFunctions become rows (``axis`` 0) or columns (1)."""
-    return vectors if isinstance(vectors, np.ndarray) else np.stack([v.values for v in vectors], axis)
+    """``vectors`` as an array: GridFunctions become rows (``axis`` 0) or columns
+    (1), and an empty sequence an empty (0, 0) array."""
+    if isinstance(vectors, np.ndarray):
+        return vectors
+    values = [v.values for v in vectors]
+    return np.stack(values, axis) if values else np.empty((0, 0))
 
 
 def _views(dim: GridDim, rows: np.ndarray) -> tuple[GridFunction, ...]:

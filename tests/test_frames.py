@@ -286,17 +286,44 @@ class TestFrameAnalysis:
         assert np.array_equal(by_array.frame.rows, by_objects.frame.rows)
 
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("d", [5, 31, 101])
-    def test_family_is_its_scaled_state_matrix_bitwise(self, family, d):
-        fam = coherent_family(GridDim.from_size(d), family)
-        by_family = frame_analyze(fam)
-        by_array = frame_analyze(fam.state_matrix() * (1 / math.sqrt(d)))
-        assert by_family.lower == by_array.lower
-        assert by_family.upper == by_array.upper
-        assert by_family.is_tight and by_array.is_tight
-        assert by_family.frame is not None and by_array.frame is not None
-        assert np.array_equal(by_family.frame.weights, by_array.frame.weights)
-        assert np.array_equal(by_family.frame.rows, by_array.frame.rows)
+    @pytest.mark.parametrize("d", [3, 5, 31, 101])
+    def test_walnut_bounds_match_the_dense_route(self, family, d):
+        """Walnut's diagonal against the eigenvalues of the dense frame
+        operator of the d^2 scaled states.
+
+        The dense S sums each entry of Z^T Z over N = d^2 rows, and re S, im S
+        add two such entries, so the rounding error E = fl(S) - S has
+        |re E_mn|, |im E_mn| <= gamma_{N+1} sum_i |w_i(m)| |w_i(n)|
+        <= gamma_{N+1} sqrt(s_m s_n) by Cauchy-Schwarz, with s_n ~ 1.  Hence
+        ||E||_2 <= ||E||_F <= sqrt(2) d gamma_{N+1}, which bounds every
+        eigenvalue shift (Weyl) and the trace error.  The eigensolver's
+        backward error, the rounding of the states and the d-term sums of
+        Walnut's side are each O(d u) or less, a factor d below that; the
+        factor 2 in place of sqrt(2) covers them.
+        """
+        dim = GridDim.from_size(d)
+        fam = coherent_family(dim, family)
+        S = rank_k_sum(fam.state_matrix() / math.sqrt(d))
+        expected = eigendecompose_hermitian(LinearOperator(dim, S)).eigenvalues
+        bound = 2 * d * gamma(d * d + 1)
+        diag = frame_analyze(fam)
+        assert abs(diag.lower - expected[0]) <= bound
+        assert abs(diag.upper - expected[-1]) <= bound
+        assert diag.is_frame and diag.is_tight and diag.frame is None
+        assert abs(diag.weight_sum - np.trace(S).real) <= bound
+
+    @pytest.mark.parametrize("d", [5, 7, 31, 101])
+    def test_walnut_diagonal_sums_along_label_differences(self, d):
+        # with an asymmetric fiducial the terms |G(n - alpha)|^2 of each n,
+        # taken in the order alpha = -j..j, fix every bit of the row sums;
+        # the (d, d) table of column alpha = the fiducial shifted by alpha
+        dim = GridDim.from_size(d)
+        G = rand_state(dim, d, normalize=True)
+        g2 = np.abs(G.values) ** 2
+        s = np.stack([np.roll(g2, a) for a in dim.indices()], axis=1).sum(axis=1)
+        diag = frame_analyze(frames.CoherentFamily(dim, Family.G1, G))
+        assert (diag.lower, diag.upper) == (s.min(), s.max())
+        assert diag.weight_sum == s.sum()
 
     def test_callers_vectors_are_never_written(self):
         d = 7
@@ -314,18 +341,37 @@ class TestFrameAnalysis:
         assert all(np.array_equal(s.values, row) for s, row in zip(states, before))
         assert not any(np.shares_memory(frame.rows, s.values) for s in states)
 
-    def test_family_holds_one_state_matrix(self):
+    def test_family_holds_no_state_matrix(self):
         import tracemalloc
 
-        d = 101
+        d = 401
         fam = coherent_family(GridDim.from_size(d), Family.G4)
         frame_analyze(fam)  # warm every cache outside the traced region
         tracemalloc.start()
         diag = frame_analyze(fam)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert diag.frame is not None
-        assert peak < 1.25 * diag.frame.rows.nbytes
+        assert diag.is_tight and diag.frame is None
+        # a few d x d tables of 8-byte numbers; the (d^2, d) rows are 16 d^3 bytes
+        assert peak < 64 * d * d
+
+    def test_weight_sum_is_the_parseval_trace(self, d3):
+        canonical = [GridFunction.delta(d3, k) for k in d3.indices()]
+        for system in (canonical, np.eye(3), np.eye(3) * 1j):
+            diag = frame_analyze(system)
+            assert diag.frame is not None
+            assert diag.weight_sum == diag.frame.weights.sum()
+        # not a frame, and tight with bound 3: no Parseval weights to sum
+        fam = coherent_family(d3, Family.G1)
+        for system in (canonical[:1], fam.state_matrix()):
+            assert math.isnan(frame_analyze(system).weight_sum)
+
+    def test_empty_system_is_refused_by_name(self, d3):
+        with pytest.raises(ValueError, match=r"expected a non-empty \(N, d\) vector system"):
+            frame_analyze([])
+        for vectors in ([], np.zeros((0, 3))):
+            with pytest.raises(ValueError, match=r"expected a non-empty \(N, d\) vector system"):
+                FiniteFrame(d3, vectors, [])
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -372,6 +418,14 @@ class TestFrameAnalysis:
                 tuple(2.0 * GridFunction.delta(d3, k) for k in d3.indices()),
                 np.ones(3),
             )
+
+
+def gamma(n):
+    """gamma_n = n u / (1 - n u): an n-term floating-point sum or dot product
+    is off by at most gamma_n times the sum of the absolute terms (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
 
 
 def rank_k_sum(rows):
@@ -709,9 +763,13 @@ class TestFFTMaps:
         assert abs(np.vdot(A, M) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
     def test_fft_module_is_loaded_only_by_the_maps(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = (
             "import sys; from finosc.cli import main; "
             "main(['kravchuk-table', '--dim', '5', '--out', sys.argv[1]]); "
@@ -719,7 +777,7 @@ class TestFFTMaps:
             "main(['spectrum', '--kind', 'frame', '--family', 'g1', '--dim', '5', '--out', sys.argv[1]]); "
             "assert 'numpy.fft' in sys.modules"
         )
-        out = subprocess.run([sys.executable, "-c", probe, "/dev/null"], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", probe, "/dev/null"], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 
 
