@@ -2,7 +2,7 @@
 """Time the Kravchuk, frames, spectrum and Wigner layers of one or more
 source trees of finosc.
 
-Eight cells are timed at each dimension, every run starting from empty
+Nine cells are timed at each dimension, every run starting from empty
 Kravchuk, coherent-family and Gaussian caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
@@ -18,7 +18,9 @@ Kravchuk, coherent-family and Gaussian caches:
 * ``cli_spectrum``: ``finosc spectrum --kind harper --dim d`` writing its CSV
   to a file;
 * ``cli_wigner``: ``finosc wigner --family g1 --kappa 1 --dim d`` writing its
-  CSV to a file.
+  CSV to a file;
+* ``cli_verify``: ``finosc verify --dim d``, the whole identity-check suite,
+  writing its report to a file.
 
 Each cell runs REPEAT times at each dimension, every run in a fresh worker
 process that imports finosc from its tree and records its own resident
@@ -62,6 +64,7 @@ CELLS = (
     "frame_hamiltonian",
     "cli_spectrum",
     "cli_wigner",
+    "cli_verify",
 )
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEAT = 3
@@ -111,6 +114,8 @@ def run_cell(cell: str, d: int) -> None:
             status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
         elif cell == "cli_wigner":
             status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
+        elif cell == "cli_verify":
+            status = f"exit {cli(['verify', '--dim', str(d), '--out', out])}"
         else:
             status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
         seconds = time.perf_counter() - start

@@ -42,7 +42,10 @@ __all__ = ["CheckResult", "run_checks", "GOLDEN_DIM"]
 
 GOLDEN_DIM = GridDim.from_size(3)
 _KAPPAS = (0.5, 1.0, 2.0)
-_STATES_PER_CHUNK = 1024  # coherent states held at once by the resolution check
+_STATES_PER_CHUNK = 1024  # coherent states held at once by the coherent-state checks
+_STATE_PROBES = 8  # seeded probe columns of the coherent-state checks
+_ENTRY_TOL = 1e-10  # entry error of a coherent-state block that must not pass
+_PROBE_TOL = 1e-11  # probe error allowed; see _probe_detail for what it bounds
 
 
 @dataclass(frozen=True)
@@ -213,30 +216,34 @@ def _check_gaussians(dim: GridDim) -> list[CheckResult]:
 
     d = dim.d
     err = 0.0
+    g1, g2, g3 = (gaussians.gaussian(dim, fam, 1.0) for fam in (Family.G1, Family.G2, Family.G3))
     for n in dim.indices():
         t3 = gaussians.theta(3, n / d, 1j / d)
         t4 = gaussians.theta(4, n / d, 1j / d)
         t2 = gaussians.theta(2, n / d, 1j / d)
-        err = max(err, abs(gaussians.gaussian(dim, Family.G1, 1.0)[n] - t3 / math.sqrt(d)))
-        err = max(err, abs(gaussians.gaussian(dim, Family.G2, 1.0)[n] - t4 / math.sqrt(d)))
-        err = max(err, abs(gaussians.gaussian(dim, Family.G3, 1.0)[n] - (-1.0) ** n * t2 / math.sqrt(d)))
+        err = max(err, abs(g1[n] - t3 / math.sqrt(d)))
+        err = max(err, abs(g2[n] - t4 / math.sqrt(d)))
+        err = max(err, abs(g3[n] - (-1.0) ** n * t2 / math.sqrt(d)))
     out.append(_result("theta-crosschecks", err, 1e-12))
 
+    def values(fam, kappa):
+        return gaussians.gaussian(dim, fam, kappa).values
+
     err = 0.0
+    twice = (2 * dim.indices() + dim.j) % d  # the index of label 2m, for m = -j..j
     for kappa in _KAPPAS:
-        g1k = gaussians.gaussian(dim, Family.G1, kappa)
-        g3k = gaussians.gaussian(dim, Family.G3, kappa)
-        a1 = gaussians.gaussian(dim, Family.G1, 4 * kappa)
-        a2 = gaussians.gaussian(dim, Family.G2, 4 * kappa)
-        b1 = gaussians.gaussian(dim, Family.G1, 2 * kappa)
-        b2 = gaussians.gaussian(dim, Family.G2, 2 * kappa)
-        g2k = gaussians.gaussian(dim, Family.G2, kappa)
-        for m in dim.indices():
-            err = max(err, abs(g1k[2 * m] - (a1[m] + a2[m])))
-            err = max(err, abs(g3k[2 * m] - (a1[m] - a2[m])))
-            err = max(err, abs(g1k[m] ** 2 - (b1[0] * b1[m] + b2[0] * b2[m])))
-            err = max(err, abs(g2k[m] ** 2 - (b1[0] * b2[m] + b2[0] * b1[m])))
-            err = max(err, abs(g3k[m] ** 2 - (b1[0] * b1[m] - b2[0] * b2[m])))
+        g1k, g2k, g3k = (values(fam, kappa) for fam in (Family.G1, Family.G2, Family.G3))
+        a1, a2 = values(Family.G1, 4 * kappa), values(Family.G2, 4 * kappa)
+        b1, b2 = values(Family.G1, 2 * kappa), values(Family.G2, 2 * kappa)
+        b10, b20 = b1[dim.j], b2[dim.j]  # the values at label 0
+        err = max(
+            err,
+            float(np.max(np.abs(g1k[twice] - (a1 + a2)))),
+            float(np.max(np.abs(g3k[twice] - (a1 - a2)))),
+            float(np.max(np.abs(g1k**2 - (b10 * b1 + b20 * b2)))),
+            float(np.max(np.abs(g2k**2 - (b10 * b2 + b20 * b1)))),
+            float(np.max(np.abs(g3k**2 - (b10 * b1 - b20 * b2)))),
+        )
     out.append(_result("doubling-and-modulus-identities", err, 1e-12))
 
     err = 0.0
@@ -441,42 +448,98 @@ def _schwinger_relations(dim: GridDim) -> CheckResult:
     return _result("schwinger-relations", err, 1e-12)
 
 
+def _state_probes(d: int) -> np.ndarray:
+    """_STATE_PROBES seeded standard complex Gaussian columns, (d, k):
+    real and imaginary parts independent N(0, 1/2)."""
+    rng = np.random.default_rng(17)
+    shape = (d, _STATE_PROBES)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+
+
+def _probe_detail(err: float, X: np.ndarray) -> str:
+    """The probe error with its tolerance and what the tolerance means.
+
+    Each block E (d x d, one per label alpha) is probed as E X.  For a
+    standard complex Gaussian x, |(E x)_i|^2 is exponential with mean
+    sum_m |E_im|^2 >= max_m |E_im|^2, so a row holding an entry error above
+    _ENTRY_TOL keeps |(E x)_i| <= _PROBE_TOL with probability below
+    (_PROBE_TOL/_ENTRY_TOL)^2, and escapes all k independent probes with
+    probability below (_PROBE_TOL/_ENTRY_TOL)^(2k).  Conversely
+    |(E X)_ik| <= max|E| ||X_k||_1, so a block whose entries all err by at most
+    _PROBE_TOL / max_k ||X_k||_1 always passes.
+    """
+    escape = (_PROBE_TOL / _ENTRY_TOL) ** (2 * _STATE_PROBES)
+    level = _PROBE_TOL / float(np.abs(X).sum(axis=0).max())
+    return (
+        f"probe error {err:.3e} (tol {_PROBE_TOL:.1e}); {_STATE_PROBES} seeded probes: "
+        f"a block with an entry off by > {_ENTRY_TOL:.0e} escapes them with probability "
+        f"< {escape:.0e}, one within {level:.1e} passes"
+    )
+
+
+def _label_chunks(dim: GridDim) -> list[np.ndarray]:
+    """The labels alpha, a few at a time, so that about _STATES_PER_CHUNK
+    states |alpha, beta> are held at once, not d^2."""
+    return np.array_split(dim.indices(), math.ceil(dim.d * dim.d / _STATES_PER_CHUNK))
+
+
+def _coherent_resolution(dim: GridDim, X: np.ndarray) -> CheckResult:
+    """Unit states, and (1/d) sum_b |a,b><a,b| = diag(|G(n - a)|^2) for each a,
+    which sums over a to the identity, probed as S_a^T (S_a^* X)/d against
+    diag(|G(n - a)|^2) X for the (b, n) state block S_a of each label a."""
+    d, j, n = dim.d, dim.j, dim.indices()
+    norm_err = err = 0.0
+    for fam in Family:
+        family = frames.coherent_family(dim, fam)
+        for a in _label_chunks(dim):
+            S = family._states(a[:, None], n)  # [a, b + j, n + j]
+            norm_err = max(norm_err, float(np.max(np.abs(np.linalg.norm(S, axis=2) - 1.0))))
+            # S_a^* X = (S_a X^*)^*, one GEMM over the whole chunk
+            Y = (S.reshape(-1, d) @ X.conj()).conj().reshape(len(a), d, -1)
+            E = S.transpose(0, 2, 1) @ Y
+            E /= d
+            E -= (np.abs(family.fiducial.values[(n - a[:, None] + j) % d]) ** 2)[..., None] * X
+            err = max(err, float(np.max(np.abs(E))))
+    passed = err <= _PROBE_TOL and norm_err <= _ENTRY_TOL
+    detail = f"{_probe_detail(err, X)}; norm error {norm_err:.3e} (tol {_ENTRY_TOL:.1e})"
+    return CheckResult("coherent-resolution-of-identity", passed, detail)
+
+
+def _coherent_covariance(dim: GridDim, X: np.ndarray) -> CheckResult:
+    """F |a, b>_2 = |b, -a>_3, probed for the (b, n) block of each label a as
+    |a, .>_2 (F^T X) against |., -a>_3 X."""
+    d, n = dim.d, dim.indices()
+    fam2, fam3 = (frames.coherent_family(dim, fam) for fam in (Family.G2, Family.G3))
+    FX = fourier_operator(dim).matrix.T @ X
+    err = 0.0
+    for a in _label_chunks(dim):
+        E = fam2._states(a[:, None], n).reshape(-1, d) @ FX
+        E -= fam3._states(n, -a[:, None]).reshape(-1, d) @ X
+        err = max(err, float(np.max(np.abs(E))))
+    return CheckResult("coherent-fourier-covariance", err <= _PROBE_TOL, _probe_detail(err, X))
+
+
 def _check_frames(dim: GridDim) -> list[CheckResult]:
     out = [_schwinger_relations(dim)]
-    d, j, n = dim.d, dim.j, dim.indices()
+    d, j = dim.d, dim.j
     I = LinearOperator.identity(dim)
     D = partial(frames.displacement, dim)
     err = _op_err(D(0, 0), I)
     rng = np.random.default_rng(31)
     labels = [tuple(rng.integers(-j, j + 1, size=2)) for _ in range(4)]
     F = fourier_operator(dim)
-    for (a1, b1) in labels:
-        for (a2, b2) in labels:
+    Fh = F.adjoint()
+    labelled = [D(a, b) for a, b in labels]
+    for (a1, b1), D1 in zip(labels, labelled):
+        for (a2, b2), D2 in zip(labels, labelled):
             phase = _phase(d, a2 * b1 - a1 * b2)
-            err = max(err, _op_err(D(a1, b1) @ D(a2, b2), phase * D(a1 + a2, b1 + b2)))
-        err = max(err, _op_err(F @ D(a1, b1) @ F.adjoint(), D(b1, -a1)))
+            err = max(err, _op_err(D1 @ D2, phase * D(a1 + a2, b1 + b2)))
+        err = max(err, _op_err(F @ D1 @ Fh, D(b1, -a1)))
     out.append(_result("displacement-composition-and-rotation", err, 1e-12))
 
-    # unit states, and (1/d) sum_b |a,b><a,b| = diag(|G(n - a)|^2) for each a,
-    # which sums over a to the identity; a few labels a at a time, so that
-    # about _STATES_PER_CHUNK states are held, not d^2
-    err = 0.0
-    i = np.arange(d)
-    for fam in Family:
-        family = frames.coherent_family(dim, fam)
-        for a in np.array_split(n, math.ceil(d * d / _STATES_PER_CHUNK)):
-            S = family._states(a[:, None], n)  # [a, b + j, n + j]
-            err = max(err, float(np.max(np.abs(np.linalg.norm(S, axis=2) - 1.0))))
-            blocks = S.transpose(0, 2, 1) @ S.conj()
-            blocks /= d
-            blocks[:, i, i] -= np.abs(family.fiducial.values[(n - a[:, None] + j) % d]) ** 2
-            err = max(err, float(np.max(np.abs(blocks))))
-    out.append(_result("coherent-resolution-of-identity", err, 1e-10))
-
-    # F |a, b>_2 = |b, -a>_3, for every b at once
-    fam2, fam3 = (frames.coherent_family(dim, fam) for fam in (Family.G2, Family.G3))
-    err = max(float(np.max(np.abs(fam2._states(a, n) @ F.matrix.T - fam3._states(n, -a)))) for a in n)
-    out.append(_result("coherent-fourier-covariance", err, 1e-10))
+    X = _state_probes(d)
+    out.append(_coherent_resolution(dim, X))
+    out.append(_coherent_covariance(dim, X))
 
     fam1 = frames.coherent_family(dim, Family.G1)
     err = _op_err(frames.quantize(fam1, lambda a, b: 1.0), I)

@@ -135,20 +135,28 @@ def _diagonal_columns(dim: GridDim) -> tuple[np.ndarray, np.ndarray]:
     return i, (i - np.arange(dim.d)) % dim.d
 
 
-def quantize(family: CoherentFamily, f: Callable[[int, int], complex]) -> LinearOperator:
+def quantize(family: CoherentFamily, f: Callable[[int, int], complex] | np.ndarray) -> LinearOperator:
     """A_f = (1/d) sum_{alpha,beta} f(alpha,beta) |alpha,beta><alpha,beta|.
 
-    ``f`` is called with Python int labels alpha, beta in -j..j, and A_f is
-    Hermitian whenever f is real-valued.  Summed over beta first,
+    ``f`` is a real or complex d x d table indexed [alpha + j, beta + j], the
+    layout ``dequantize`` returns, or a callable that fills that table from
+    Python int labels alpha, beta in -j..j.  A_f is Hermitian whenever f is
+    real-valued.  Summed over beta first,
     A[n, n-k] = (1/d) sum_alpha P_k(n-alpha) fhat(alpha, k) with
     P_k(u) = G(u) G*(u-k) and fhat(alpha, k) = sum_beta f(alpha, beta)
     e^{2 pi i beta k/d}: a cyclic convolution in alpha for each offset k, so
     one FFT pair along the first axis of two d x d arrays gives every diagonal.
     """
     dim = family.dim
-    labels = range(-dim.j, dim.j + 1)
-    values = map(complex, itertools.starmap(f, itertools.product(labels, repeat=2)))
-    w = np.fromiter(values, complex, dim.d**2).reshape(dim.d, dim.d) / dim.d
+    if callable(f):
+        labels = range(-dim.j, dim.j + 1)
+        values = map(complex, itertools.starmap(f, itertools.product(labels, repeat=2)))
+        w = np.fromiter(values, complex, dim.d**2).reshape(dim.d, dim.d)
+    else:
+        w = np.array(f, dtype=complex)  # a copy: it is scaled in place
+        if w.shape != (dim.d, dim.d):
+            raise InputError(f"symbol table must have shape {(dim.d, dim.d)}, got {w.shape}")
+    w /= dim.d
     fft = np.fft  # loaded on first use, so commands that never quantize skip it
     P, fhat = fft.fft(_diagonal_products(family), axis=0), fft.fft(w @ _beta_phases(dim), axis=0)
     A = np.empty((dim.d, dim.d), dtype=complex)

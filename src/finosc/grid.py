@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _FOURIER_CACHE_SIZE = 16  # Fourier operators kept, one per dimension
+_ROOTS_CACHE_SIZE = 32  # tables of 2d roots of unity kept, one per dimension
 
 
 class InputError(ValueError):
@@ -272,14 +273,22 @@ def inner_product(phi: GridFunction, psi: GridFunction) -> complex:
     return complex(np.vdot(phi.values, psi.values))
 
 
-def _phase(d: int, m):
-    """e^{i pi m/d} for integers m (an array or any Python int), gathered from
-    the 2d roots at m mod 2d, so its rounding does not grow with |m|.  Each
-    root is evaluated at its exponent in (-d, d], so e^{-i pi m/d} is exactly
-    the conjugate of e^{i pi m/d} for every m other than d mod 2d."""
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+def _roots(d: int) -> np.ndarray:
+    """The read-only 2d roots e^{i pi r/d}, indexed by r mod 2d.  Each root is
+    evaluated at its exponent r in (-d, d], so e^{-i pi m/d} is exactly the
+    conjugate of e^{i pi m/d} for every m other than d mod 2d."""
     r = np.arange(2 * d)
     r[d + 1 :] -= 2 * d
-    return np.exp(1j * np.pi * r / d)[m % (2 * d)]
+    roots = np.exp(1j * np.pi * r / d)
+    roots.flags.writeable = False
+    return roots
+
+
+def _phase(d: int, m):
+    """e^{i pi m/d} for integers m (an array or any Python int), gathered from
+    the 2d roots at m mod 2d, so its rounding does not grow with |m|."""
+    return _roots(d)[m % (2 * d)]
 
 
 @lru_cache(maxsize=_FOURIER_CACHE_SIZE)

@@ -113,7 +113,8 @@ def frame_hamiltonian(dim: GridDim, family: Family | int) -> LinearOperator:
     zero-point offset; no additive constant is applied.
     """
     fam = Family.from_label(f"g{family}") if isinstance(family, int) else family
-    return _symmetrized(quantize(coherent_family(dim, fam), lambda a, b: (a * a + b * b) / 2.0))
+    n = dim.indices()  # the integers and the halving are exact in float64
+    return _symmetrized(quantize(coherent_family(dim, fam), (n[:, None] ** 2 + n**2) / 2.0))
 
 
 def _check_deformation(alpha: float) -> float:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finosc import frames
-from finosc.checks import _check_frames, _schwinger_relations
+from finosc.checks import (
+    _check_frames,
+    _coherent_covariance,
+    _coherent_resolution,
+    _schwinger_relations,
+    _state_probes,
+)
 from finosc.frames import (
     FiniteFrame,
     coherent_family,
@@ -23,6 +29,7 @@ from finosc.oscillators import _symmetrized, frame_hamiltonian
 from finosc.grid import (
     GridDim,
     GridFunction,
+    InputError,
     LinearOperator,
     eigendecompose_hermitian,
     fourier_operator,
@@ -910,3 +917,166 @@ class TestCoherentFourierCovarianceCoverage:
 
             monkeypatch.setattr(frames.CoherentFamily, "_states", corrupted)
             assert not next(r for r in _check_frames(dim) if r.name == name).passed, bad
+
+
+def dense_resolution_error(dim):
+    """The largest entry of (1/d) S_a^T S_a^* - diag(|G(n - a)|^2) over every
+    family and label a, S_a the (b, n) block of the states |a, b>: the d x d
+    blocks that the probed resolution check stands for, formed in full."""
+    d, j, n = dim.d, dim.j, dim.indices()
+    err = 0.0
+    for fam in Family:
+        family = coherent_family(dim, fam)
+        for a in n:
+            S = family._states(a, n)
+            block = S.T @ S.conj() / d - np.diag(np.abs(family.fiducial.values[(n - a + j) % d]) ** 2)
+            err = max(err, float(np.max(np.abs(block))))
+    return err
+
+
+def dense_covariance_error(dim):
+    """The largest entry of F |a, b>_2 - |b, -a>_3 over every label, in full."""
+    n, F = dim.indices(), fourier_operator(dim).matrix
+    fam2, fam3 = coherent_family(dim, Family.G2), coherent_family(dim, Family.G3)
+    return max(float(np.max(np.abs(fam2._states(a, n) @ F.T - fam3._states(n, -a)))) for a in n)
+
+
+def _defective_family_states(defect, label=(1, -1)):
+    """CoherentFamily._states with one defect: every label shifted by one,
+    one entry of the state at ``label`` moved by 1e-9 (along i times its
+    phase, so the state's norm moves only by 1e-18), or that state
+    multiplied by e^{i pi/3}."""
+    if defect == "shift":
+        return _mutant_states(defect)
+    orig = frames.CoherentFamily._states
+
+    def mutant(self, alpha, beta):
+        states = orig(self, alpha, beta)
+        hit = (np.asarray(alpha) == label[0]) & (np.asarray(beta) == label[1])
+        hit = np.broadcast_to(hit, states.shape[:-1])
+        if defect == "entry":
+            peak = int(np.argmax(np.abs(self.fiducial.values)))
+            states[hit, peak] += 1e-9j * states[hit, peak] / np.abs(states[hit, peak])
+        else:
+            states[hit] *= np.exp(1j * np.pi / 3)
+        return states
+
+    return mutant
+
+
+def probe_error(result):
+    return float(result.detail.split()[2])
+
+
+class TestProbedCoherentChecks:
+    """The two coherent-state checks probe each d x d block E with seeded
+    complex Gaussian columns X instead of forming it; the dense blocks are
+    the oracle."""
+
+    @pytest.mark.parametrize("d", [3, 15, 37, 101])
+    def test_pass_where_the_dense_blocks_are_at_roundoff(self, d):
+        dim = GridDim.from_size(d)
+        X = _state_probes(d)
+        for result, dense in (
+            (_coherent_resolution(dim, X), dense_resolution_error(dim)),
+            (_coherent_covariance(dim, X), dense_covariance_error(dim)),
+        ):
+            assert dense < 1e-14 and result.passed, result.detail
+            # far below the probe tolerance 1e-11, so a pass does not hang on luck
+            assert probe_error(result) < 1e-13, result.detail
+
+    @pytest.mark.parametrize("d", [3, 101, 401])
+    def test_detail_states_the_derived_bounds(self, d):
+        X = _state_probes(d)
+        level = 1e-11 / np.abs(X).sum(axis=0).max()
+        detail = _coherent_covariance(GridDim.from_size(d), X).detail
+        assert "8 seeded probes" in detail and "off by > 1e-10" in detail
+        assert "probability < 1e-16" in detail and f"within {level:.1e} passes" in detail
+        # the level at which a block surely passes sits above the probes' roundoff
+        assert level > 1e-14
+
+    @pytest.mark.parametrize(
+        "defect, fails",
+        [
+            ("shift", {"coherent-resolution-of-identity", "coherent-fourier-covariance"}),
+            ("entry", {"coherent-resolution-of-identity", "coherent-fourier-covariance"}),
+            # |psi><psi| does not see the phase of psi: only the covariance can
+            ("phase", {"coherent-fourier-covariance"}),
+        ],
+    )
+    @pytest.mark.parametrize("d", [7, 15])
+    def test_defects_fail(self, d, defect, fails, monkeypatch):
+        dim = GridDim.from_size(d)
+        X = _state_probes(d)
+        level = 1e-11 / np.abs(X).sum(axis=0).max()
+        monkeypatch.setattr(frames.CoherentFamily, "_states", _defective_family_states(defect))
+        results = {
+            "coherent-resolution-of-identity": (_coherent_resolution(dim, X), dense_resolution_error(dim)),
+            "coherent-fourier-covariance": (_coherent_covariance(dim, X), dense_covariance_error(dim)),
+        }
+        assert {name for name, (result, _) in results.items() if not result.passed} == fails
+        for result, dense in results.values():
+            # |(E X)_ik| <= max|E| ||X_k||_1, up to the probes' own rounding
+            assert probe_error(result) <= dense * 1e-11 / level * (1 + 1e-9) + 1e-14, result.detail
+            # a block off by more than 1e-10 is caught
+            assert dense <= 1e-10 or not result.passed
+
+    def test_entry_defect_is_caught_by_the_probes_not_the_norms(self, monkeypatch):
+        dim = GridDim.from_size(15)
+        monkeypatch.setattr(frames.CoherentFamily, "_states", _defective_family_states("entry"))
+        result = _coherent_resolution(dim, _state_probes(dim.d))
+        assert probe_error(result) > 1e-11 and float(result.detail.split("norm error ")[1].split()[0]) < 1e-15
+
+    def test_the_suite_runs_the_probed_checks(self, d7):
+        X = _state_probes(d7.d)
+        results = _check_frames(d7)
+        assert _coherent_resolution(d7, X) in results and _coherent_covariance(d7, X) in results
+
+
+def random_table(d, seed, complex_valued):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(d, d))
+    return table + 1j * rng.normal(size=(d, d)) if complex_valued else table
+
+
+class TestArraySymbols:
+    """quantize takes the symbol as a d x d table indexed [alpha + j, beta + j]
+    as well as a callable, which only fills that table."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("d", [3, 31, 101])
+    def test_table_equals_callable_bitwise(self, d, family):
+        dim = GridDim.from_size(d)
+        j, n = dim.j, dim.indices()
+        fam = coherent_family(dim, family)
+        tables = [
+            random_table(d, d, False),
+            random_table(d, d + 1, True),
+            (n[:, None] ** 2 + n**2) / 2.0,
+        ]
+        for table in tables:
+            expected = quantize(fam, lambda a, b: table[a + j, b + j]).matrix
+            assert np.array_equal(quantize(fam, table).matrix, expected)
+
+    def test_accepts_the_layout_dequantize_returns(self, d7):
+        fam = coherent_family(d7, Family.G2)
+        M = LinearOperator(d7, random_table(d7.d, 3, True))
+        symbol = dequantize(fam, M)
+        j = d7.j
+        expected = quantize(fam, lambda a, b: symbol[a + j, b + j]).matrix
+        assert np.array_equal(quantize(fam, symbol).matrix, expected)
+
+    @pytest.mark.parametrize("shape", [(7, 8), (8, 7), (49,), (5, 5), (7, 7, 1)])
+    def test_wrong_shape_is_an_input_error(self, d7, shape):
+        with pytest.raises(InputError, match="shape"):
+            quantize(coherent_family(d7, Family.G1), np.ones(shape))
+
+    def test_frame_hamiltonian_passes_a_table(self, d7, monkeypatch):
+        seen = []
+        orig = frames.quantize
+        monkeypatch.setattr(
+            "finosc.oscillators.quantize", lambda fam, f: seen.append(f) or orig(fam, f)
+        )
+        frame_hamiltonian(d7, 4)
+        n = d7.indices()
+        assert len(seen) == 1 and np.array_equal(seen[0], (n[:, None] ** 2 + n**2) / 2.0)

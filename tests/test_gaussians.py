@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finosc import gaussians
+from finosc import checks, gaussians
 from finosc.gaussians import (
     Family,
     gaussian,
@@ -278,6 +278,39 @@ class TestStructuralIdentities:
             g = gaussian(d15, fam, kappa)
             for n in d15.indices():
                 assert abs(g[n] ** 2 - combo(n)) < 1e-12
+
+
+def loop_doubling_and_modulus_error(dim):
+    """The doubling-and-modulus check as a loop over labels on Python complex
+    values, the reference for its whole-array form."""
+    err = 0.0
+    for kappa in KAPPAS:
+        g1k, g2k, g3k = (gaussian(dim, fam, kappa) for fam in (Family.G1, Family.G2, Family.G3))
+        a1, a2 = gaussian(dim, Family.G1, 4 * kappa), gaussian(dim, Family.G2, 4 * kappa)
+        b1, b2 = gaussian(dim, Family.G1, 2 * kappa), gaussian(dim, Family.G2, 2 * kappa)
+        for m in dim.indices():
+            err = max(err, abs(g1k[2 * m] - (a1[m] + a2[m])))
+            err = max(err, abs(g3k[2 * m] - (a1[m] - a2[m])))
+            err = max(err, abs(g1k[m] ** 2 - (b1[0] * b1[m] + b2[0] * b2[m])))
+            err = max(err, abs(g2k[m] ** 2 - (b1[0] * b2[m] + b2[0] * b1[m])))
+            err = max(err, abs(g3k[m] ** 2 - (b1[0] * b1[m] - b2[0] * b2[m])))
+    return err
+
+
+class TestStructuralIdentityCheck:
+    @pytest.mark.parametrize("d", [3, 15, 37, 101])
+    def test_whole_array_form_gives_the_loop_error_exactly(self, d, monkeypatch):
+        dim = GridDim.from_size(d)
+        errors, result = {}, checks._result
+
+        def spy(name, err, tol):
+            errors[name] = err
+            return result(name, err, tol)
+
+        monkeypatch.setattr(checks, "_result", spy)
+        checks._check_gaussians(dim)
+        assert KAPPAS == checks._KAPPAS
+        assert errors["doubling-and-modulus-identities"] == loop_doubling_and_modulus_error(dim)
 
 
 class TestNorms:

@@ -279,6 +279,25 @@ class TestReducedFourierPhase:
         F = fourier_operator(GridDim.from_size(d)).matrix
         assert np.array_equal(F[:, ::-1], F.conj())
 
+    @pytest.mark.parametrize("d", [3, 37, 401])
+    def test_cached_roots_give_the_per_call_table_bit_for_bit(self, d):
+        r = np.arange(2 * d)
+        r[d + 1 :] -= 2 * d
+        per_call = np.exp(1j * np.pi * r / d)
+        m = np.arange(-3 * d, 3 * d)
+        assert np.array_equal(grid._phase(d, m).view(np.uint64), per_call[m % (2 * d)].view(np.uint64))
+        assert grid._phase(d, 5 * d + 1) == per_call[(5 * d + 1) % (2 * d)]
+        roots = grid._roots(d)
+        assert grid._roots(d) is roots and not roots.flags.writeable
+        # a gather is a new array, so callers may scale it in place
+        assert grid._phase(d, m).flags.writeable
+
+    def test_roots_cache_is_bounded(self):
+        assert grid._roots.cache_parameters()["maxsize"] == grid._ROOTS_CACHE_SIZE
+        for d in range(3, 2 * grid._ROOTS_CACHE_SIZE + 8, 2):
+            grid._phase(d, 1)
+        assert grid._roots.cache_info().currsize == grid._ROOTS_CACHE_SIZE
+
     @pytest.mark.parametrize("d", [107, 197, 201])
     def test_fourier_algebra_checks_pass(self, d):
         results = checks._check_fourier_algebra(GridDim.from_size(d))

@@ -51,6 +51,7 @@ def test_bench_d7(tmp_path):
         "cli_frame_check",
         "cli_kravchuk_table",
         "cli_spectrum",
+        "cli_verify",
         "cli_wigner",
         "frame_hamiltonian",
         "kravchuk_table",
@@ -64,7 +65,7 @@ def test_bench_d7(tmp_path):
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
     for cell in ("kravchuk_table", "frame_hamiltonian"):
         assert cells[cell]["7"]["status"] == ["ok"]
-    for cli_cell in ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner"):
+    for cli_cell in ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_verify"):
         assert cells[cli_cell]["7"]["status"] == ["exit 0"]
 
 
