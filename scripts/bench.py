@@ -23,18 +23,19 @@ Kravchuk, coherent-family and Gaussian caches:
   writing its report to a file.
 
 Each cell runs REPEAT times at each dimension, every run in a fresh worker
-process that imports finosc from its tree and records its own resident
-high-water mark (VmHWM), so no run inherits caches, allocations or one-time
-costs from another. The trees alternate on every run, and take turns going
-first, so slow drift on a shared machine falls on all trees alike. The JSON
-output holds the median wall time with its lower and upper quartiles (so a
-change can be told from the spread of the runs), every run's wall time and
-VmHWM, and the machine facts. A worker still running after TIMEOUT_S seconds
-is stopped; its cell keeps the runs it finished, runs no more and is marked
-``timed_out``. A worker
-may map at most MEMORY_LIMIT_MIB of address space, so that a tree which builds
-d^3 arrays cannot exhaust the machine at large d; a cell whose worker runs out
-is marked ``out_of_memory`` in the same way.
+process that imports finosc from its tree, so no run inherits caches,
+allocations or one-time costs from another. Each run records its own
+resident high-water mark (VmHWM) and OpenBLAS thread count with the probes
+of ``perfbench/worker.py``. The trees alternate on every run, and take turns
+going first, so slow drift on a shared machine falls on all trees alike. The
+JSON output holds the median wall time with its lower and upper quartiles (so
+a change can be told from the spread of the runs), every run's wall time,
+VmHWM and BLAS thread count, and the machine facts. A worker still running
+after TIMEOUT_S seconds is stopped; its cell keeps the runs it finished, runs
+no more and is marked ``timed_out``. A worker may map at most
+MEMORY_LIMIT_MIB of address space, so that a tree which builds d^3 arrays
+cannot exhaust the machine at large d; a cell whose worker runs out is marked
+``out_of_memory`` in the same way.
 
 ``--cells`` times a comma-separated subset of these cells (default: all).
 
@@ -45,6 +46,7 @@ Usage: python scripts/bench.py [--src LABEL=DIR ...] [--dims 101,201,401]
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -71,18 +73,16 @@ REPEAT = 3
 TIMEOUT_S = 600.0
 MEMORY_LIMIT_MIB = 3072
 SRC = Path(__file__).resolve().parent.parent / "src"
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
-def vmhwm_mib() -> float | None:
-    """This process's resident high-water mark, or None off Linux."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return None
+def load_probes():
+    """perfbench/worker.py, loaded by file path for its ``peak_rss_mb`` (VmHWM)
+    and ``blas_threads`` probes, so both benchmarks measure alike."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cell(cell: str, d: int) -> None:
@@ -91,6 +91,7 @@ def run_cell(cell: str, d: int) -> None:
 
     limit = MEMORY_LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    probes = load_probes()
     from finosc import checks, kravchuk, oscillators
     from finosc.cli import main as cli
     from finosc.grid import GridDim
@@ -119,7 +120,8 @@ def run_cell(cell: str, d: int) -> None:
         else:
             status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
         seconds = time.perf_counter() - start
-    print(json.dumps({"s": seconds, "vmhwm_mib": vmhwm_mib(), "status": status}), flush=True)
+    peak, threads = probes.peak_rss_mb(), probes.blas_threads()
+    print(json.dumps({"s": seconds, "vmhwm_mib": peak, "blas_threads": threads, "status": status}), flush=True)
 
 
 def measure(src: Path, cell: str, d: int) -> dict:
@@ -143,7 +145,7 @@ def measure(src: Path, cell: str, d: int) -> dict:
 def summarize(runs: list[dict]) -> dict:
     done = [r for r in runs if "s" in r]
     times = [r["s"] for r in done]
-    peaks = [r["vmhwm_mib"] for r in done if r["vmhwm_mib"] is not None]
+    peaks = [r["vmhwm_mib"] for r in done]
     # inclusive quartiles interpolate between runs; one run is its own spread
     if len(times) > 1:
         q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
@@ -156,6 +158,7 @@ def summarize(runs: list[dict]) -> dict:
         "runs_s": times,
         "vmhwm_mib": statistics.median(peaks) if peaks else None,
         "runs_vmhwm_mib": peaks,
+        "runs_blas_threads": [r["blas_threads"] for r in done],
         "status": sorted({r["status"] for r in done}),
         "timed_out": any(r.get("timed_out") for r in runs),
         "out_of_memory": any(r.get("out_of_memory") for r in runs),

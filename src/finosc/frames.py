@@ -34,7 +34,7 @@ from .grid import (
     LinearOperator,
     hermitian_eigenvalues,
 )
-from .grid import _adopt, _assign, _phase, _readonly_copy, _same_dim, _stack, _views
+from .grid import _adopt, _assign, _check_tolerance, _phase, _readonly_copy, _same_dim, _stack, _views
 
 __all__ = [
     "schwinger",
@@ -298,8 +298,10 @@ def frame_analyze(
     most ``tol``.  When tight with common bound 1, S is checked against the
     identity and kappa_i = ||w_i||^2 are summed; an array or a sequence also
     gets its FiniteFrame, on new unit rows.  A family's S is the diagonal
-    ``_walnut_diagonal``, read without its rows or an eigensolve.
+    ``_walnut_diagonal``, read without its rows or an eigensolve.  A ``tol``
+    that is not positive raises ``InputError``.
     """
+    _check_tolerance(tol)
     if isinstance(vectors, CoherentFamily):
         dim, s = vectors.dim, _walnut_diagonal(vectors)
         # S = diag(s) has the eigenvalues s, and sum kappa_i = tr S = sum s

@@ -65,8 +65,8 @@ def _check_kappa(family: Family, kappa: float | None) -> float:
     if family.has_kappa:
         if kappa is None:
             return 1.0
-        if not kappa > 0:
-            raise InputError(f"kappa must be positive, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise InputError(f"kappa must be positive and finite, got {kappa}")
         return float(kappa)
     if kappa is not None:
         raise InputError(f"family {family.value} takes no kappa")

@@ -325,41 +325,28 @@ def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: LAPACK or cyclic Jacobi, one output convention
+# Hermitian eigensolver: LAPACK eigh under one output convention
 # ---------------------------------------------------------------------------
-
-_EIGEN_METHODS = ("lapack", "jacobi")
 
 
 @dataclass(frozen=True)
 class JacobiConfig:
-    """Settings for the Hermitian eigensolver.
+    """Settings for the Hermitian eigensolver (LAPACK ``numpy.linalg.eigh``).
 
-    ``method`` selects how the eigenpairs are computed: ``"lapack"`` (the
-    default, ``numpy.linalg.eigh``) or ``"jacobi"`` (the self-contained
-    cyclic Jacobi loop).  ``off_tol`` and ``max_sweeps`` apply to Jacobi
-    only: it converges when the off-diagonal Frobenius mass drops below
-    ``off_tol`` times the Frobenius norm of the input.  ``hermiticity_tol``
-    and ``degeneracy_gap`` apply to both methods.
+    ``hermiticity_tol`` bounds the largest entry of M - M^+ that the solver
+    accepts; ``degeneracy_gap`` is the eigenvalue gap below which neighbours
+    form one cluster, re-orthonormalized in index order.
     """
 
-    off_tol: float = 1e-14
-    max_sweeps: int = 100
     hermiticity_tol: float = 1e-10
     degeneracy_gap: float = 1e-10
-    method: str = "lapack"
-
-    def __post_init__(self):
-        if self.method not in _EIGEN_METHODS:
-            raise ValueError(f"method must be one of {_EIGEN_METHODS}, got {self.method!r}")
 
 
 DEFAULT_JACOBI = JacobiConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver did not converge: the Jacobi sweep cap was reached
-    before the off-diagonal mass vanished, or LAPACK reported failure."""
+    """The eigensolver did not converge: LAPACK reported failure."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -399,14 +386,6 @@ class SpectralDecomposition:
         return _adopt(LinearOperator, self.dim, (V * self.eigenvalues) @ V.conj().T)
 
 
-def _off_mass(a: np.ndarray) -> float:
-    # summed directly over the off-diagonal: subtracting the diagonal mass
-    # from the total cancels catastrophically once convergence sets in
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
     """Multiply by the unit phase making the largest-magnitude entry real positive.
 
@@ -421,53 +400,6 @@ def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
     pivot = np.expand_dims(np.argmax(mags >= top * (1.0 - tie_tol), axis=0), 0)
     entry = np.where(top == 0.0, 1.0, np.take_along_axis(v, pivot, 0)[0])
     return v * (np.conj(entry) / np.abs(entry))
-
-
-def _jacobi_eigenpairs(
-    A: np.ndarray, norm: float, config: JacobiConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations in lexicographic (p, q) order, applied to ``A``
-    in place.  Returns the unsorted diagonal and the accumulated rotations
-    as columns."""
-    d = A.shape[0]
-    V = np.eye(d, dtype=complex)
-    threshold = config.off_tol * norm
-    skip = threshold / (2.0 * d)
-    converged = False
-    for _ in range(config.max_sweeps):
-        if _off_mass(A) < threshold:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * np.conj(phase) * col_q
-                A[:, q] = s * phase * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * phase * row_q
-                A[q, :] = s * np.conj(phase) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * np.conj(phase) * vq
-                V[:, q] = s * phase * vp + c * vq
-    else:
-        converged = _off_mass(A) < threshold
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not converge in {config.max_sweeps} sweeps "
-            f"(off mass {_off_mass(A):.3e}, target {threshold:.3e})"
-        )
-    return np.diag(A).real, V
 
 
 def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
@@ -486,13 +418,10 @@ def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
     if norm == 0.0:
         return A, norm, np.zeros(d), np.eye(d, dtype=complex)
 
-    if config.method == "jacobi":
-        vals, V = _jacobi_eigenpairs(A.copy(), norm, config)
-    else:
-        try:
-            vals, V = np.linalg.eigh(A)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    try:
+        vals, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
 
     order = np.argsort(vals, kind="stable")
     return A, norm, vals[order], V[:, order]
@@ -510,15 +439,14 @@ def eigendecompose_hermitian(
 ) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator with a deterministic eigenvector convention.
 
-    The eigenpairs come from LAPACK (``numpy.linalg.eigh``) by default, or
-    from the cyclic Jacobi loop with ``config.method == "jacobi"``; a solver
-    failure raises ``ConvergenceError``.  Both methods share the output
-    convention: eigenvalues ascend (stable sort), eigenvectors within a
-    degenerate cluster (gap below ``config.degeneracy_gap``) are
-    re-orthonormalized by modified Gram-Schmidt in index order, and each
-    eigenvector carries the phase that makes its largest-magnitude entry
-    real and positive.  Non-finite or non-Hermitian input raises
-    ``ValueError``.  ``hermitian_eigenvalues`` gives the eigenvalues alone.
+    The eigenpairs come from LAPACK (``numpy.linalg.eigh``); its failure
+    raises ``ConvergenceError``.  The convention: eigenvalues ascend (stable
+    sort), eigenvectors within a degenerate cluster (gap below
+    ``config.degeneracy_gap``) are re-orthonormalized by modified
+    Gram-Schmidt in index order, and each eigenvector carries the phase that
+    makes its largest-magnitude entry real and positive.  Non-finite or
+    non-Hermitian input raises ``ValueError``.  ``hermitian_eigenvalues``
+    gives the eigenvalues alone.
     """
     dim = M.dim
     d = dim.d

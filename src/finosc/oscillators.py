@@ -321,9 +321,11 @@ def orthonormal_functions_for_weight(
     Lanczos (Stieltjes) on diag(n) from q_0 = sqrt(weight)/||sqrt(weight)||,
     with full reorthogonalization (two classical Gram-Schmidt passes), gives
     q_k = sqrt(weight) Phi_k (Gragg & Harrod, Numer. Math. 44, 1984).  Each
-    beta_k > 0, so every Phi_k has a positive leading coefficient.  The run
-    refuses with ``ValueError`` when beta_k / j falls below 1e-10: the Krylov
-    space has collapsed under the weight and the ladder would be noise.
+    beta_k > 0, so every Phi_k has a positive leading coefficient.  A
+    non-finite weight or multiplier, or a negative or vanishing weight,
+    raises ``ValueError``, and so does a run where beta_k / j falls below
+    1e-10: the Krylov space has collapsed under the weight and the ladder
+    would be noise.
     ``min_beta`` is min_k beta_k / j.
     """
     w = np.asarray(weight, dtype=float)
@@ -331,6 +333,9 @@ def orthonormal_functions_for_weight(
     d, j = dim.d, dim.j
     if w.shape != (d,) or mult.shape != (d,):
         raise ValueError(f"weight and multiplier must have {d} entries")
+    for name, values in (("weight", w), ("multiplier", mult)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if np.any(w < 0):
         raise ValueError("weight must be non-negative")
     zeros = np.flatnonzero(w == 0.0)

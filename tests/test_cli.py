@@ -202,6 +202,9 @@ USAGE_ERRORS = [
 # NaN and out-of-range numbers, refused by the same rules
 NUMERIC_USAGE_ERRORS = [
     usage_case("nan-kappa", "gaussian --dim 5 --family g1 --kappa nan", "kappa must be positive"),
+    usage_case("inf-kappa-g1", "gaussian --dim 5 --family g1 --kappa inf", "kappa must be positive"),
+    usage_case("inf-kappa-g2", "gaussian --dim 5 --family g2 --kappa inf", "kappa must be positive"),
+    usage_case("inf-kappa-g3", "gaussian --dim 5 --family g3 --kappa inf", "kappa must be positive"),
     usage_case(
         "nan-tol", "frame-check --dim 5 --family g4 --tol nan", "tolerance must be positive"
     ),

@@ -272,6 +272,14 @@ class TestGramSchmidt:
         with pytest.raises(ValueError, match="vanishes"):
             orthonormal_functions_for_weight(d3, weight, np.sqrt(weight))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["weight", "multiplier"])
+    def test_non_finite_input_rejected(self, d3, name, bad):
+        args = {"weight": np.ones(3), "multiplier": np.ones(3)}
+        args[name] = np.array([1.0, bad, 1.0])
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            orthonormal_functions_for_weight(d3, **args)
+
     def test_lanczos_breakdown_refused(self):
         # the cosine-power weight G5^2 collapses the Krylov space from d = 25
         with pytest.raises(ValueError, match=r"Lanczos breakdown at step \d+: beta_k/j = "):

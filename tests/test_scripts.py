@@ -61,6 +61,7 @@ def test_bench_d7(tmp_path):
         assert len(run["runs_s"]) == 3 and run["median_s"] > 0
         assert min(run["runs_s"]) <= run["q1_s"] <= run["median_s"] <= run["q3_s"] <= max(run["runs_s"])
         assert run["vmhwm_mib"] > 0 and not run["timed_out"] and not run["out_of_memory"]
+        assert run["runs_blas_threads"] == [1, 1, 1]
     assert cells["check_kravchuk"]["7"]["status"] == ["13/13 passed"]
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
     for cell in ("kravchuk_table", "frame_hamiltonian"):
