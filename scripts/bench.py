@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk, frames, spectrum and Wigner layers of one or more
+"""Time the Kravchuk, frames, spectrum, revival and Wigner layers of one or more
 source trees of finosc.
 
-Nine cells are timed at each dimension, every run starting from empty
+Ten cells are timed at each dimension, every run starting from empty
 Kravchuk, coherent-family and Gaussian caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
@@ -19,6 +19,8 @@ Kravchuk, coherent-family and Gaussian caches:
   to a file;
 * ``cli_wigner``: ``finosc wigner --family g1 --kappa 1 --dim d`` writing its
   CSV to a file;
+* ``cli_revival``: ``finosc revival --kind harper --dim d``, with its default
+  random state, writing its CSV to a file;
 * ``cli_verify``: ``finosc verify --dim d``, the whole identity-check suite,
   writing its report to a file.
 
@@ -66,6 +68,7 @@ CELLS = (
     "frame_hamiltonian",
     "cli_spectrum",
     "cli_wigner",
+    "cli_revival",
     "cli_verify",
 )
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -115,6 +118,8 @@ def run_cell(cell: str, d: int) -> None:
             status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
         elif cell == "cli_wigner":
             status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
+        elif cell == "cli_revival":
+            status = f"exit {cli(['revival', '--kind', 'harper', '--dim', str(d), '--out', out])}"
         elif cell == "cli_verify":
             status = f"exit {cli(['verify', '--dim', str(d), '--out', out])}"
         else:

@@ -36,7 +36,7 @@ from .grid import (
     operator_exponential,
     parity_operator,
 )
-from .grid import _phase
+from .grid import _SeededDraws, _phase
 
 __all__ = ["CheckResult", "run_checks", "GOLDEN_DIM"]
 
@@ -61,8 +61,7 @@ def _result(name: str, err: float, tol: float) -> CheckResult:
 
 
 def _rand_state(dim: GridDim, seed: int) -> GridFunction:
-    rng = np.random.default_rng(seed)
-    return GridFunction(dim, rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d))
+    return GridFunction(dim, _SeededDraws(seed).complex_normals(dim.d))
 
 
 def _op_err(a: LinearOperator, b: LinearOperator) -> float:
@@ -169,8 +168,7 @@ def _check_fourier_algebra(dim: GridDim) -> list[CheckResult]:
 
 
 def _check_eigensolver(dim: GridDim) -> list[CheckResult]:
-    rng = np.random.default_rng(7)
-    raw = rng.normal(size=(dim.d, dim.d)) + 1j * rng.normal(size=(dim.d, dim.d))
+    raw = _SeededDraws(7).complex_normals(dim.d, dim.d)
     M = LinearOperator(dim, (raw + raw.conj().T) / 2)
     dec = eigendecompose_hermitian(M)
     scale = M.frobenius_norm()
@@ -284,17 +282,13 @@ def _gram_probe_failures(K: np.ndarray, weight: np.ndarray, target: np.ndarray) 
     """How many of _GRAM_PROBES seeded Freivalds probes find
     K diag(weight) K^T != diag(target), all in exact integers.
 
-    Each probe draws x of random 64-bit integers and compares
+    Each probe draws x of seeded uniform 64-bit integers and compares
     K (weight * K^T x) with target * x, O(d^2) work instead of the d^3 of
     the Gram matrix.  A wrong Gram entry escapes one probe with probability
     at most 2^-64 (Freivalds, IFIP 1977).
     """
-    rng = np.random.default_rng(13)
-    failed = 0
-    for _ in range(_GRAM_PROBES):
-        x = rng.integers(0, 2**64 - 1, size=len(target), dtype=np.uint64, endpoint=True).astype(object)
-        failed += bool(np.any(K @ (weight * (K.T @ x)) != target * x))
-    return failed
+    probes = _SeededDraws(13).words(_GRAM_PROBES, len(target)).astype(object)
+    return sum(bool(np.any(K @ (weight * (K.T @ x)) != target * x)) for x in probes)
 
 
 def _hypergeometric_route(dim: GridDim) -> np.ndarray:
@@ -382,8 +376,7 @@ def _check_kravchuk(dim: GridDim) -> list[CheckResult]:
     gen = kravchuk.su2_generators(dim)
     out.append(_su2_commutators(gen))
     out.append(_result("jx-from-jz-conjugation", _op_err(K @ gen.jz @ K.adjoint(), gen.jx), 1e-10))
-    rng = np.random.default_rng(11)
-    U = kravchuk.generalized_kravchuk_transform(dim, rng.uniform(0, 2 * np.pi, size=d))
+    U = kravchuk.generalized_kravchuk_transform(dim, 2 * np.pi * _SeededDraws(11).uniforms(d))
     err = max(_op_err(U @ gen.jz @ U.adjoint(), gen.jx), _op_err(U @ U.adjoint(), I))
     out.append(_result("generalized-transform", err, 1e-10))
 
@@ -450,17 +443,18 @@ def _schwinger_relations(dim: GridDim) -> CheckResult:
 
 def _state_probes(d: int) -> np.ndarray:
     """_STATE_PROBES seeded standard complex Gaussian columns, (d, k):
-    real and imaginary parts independent N(0, 1/2)."""
-    rng = np.random.default_rng(17)
-    shape = (d, _STATE_PROBES)
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+    real and imaginary parts independent N(0, 1/2), from the standard
+    library's Mersenne Twister by Box-Muller (``grid._SeededDraws``)."""
+    return _SeededDraws(17).complex_normals(d, _STATE_PROBES) / math.sqrt(2.0)
 
 
 def _probe_detail(err: float, X: np.ndarray) -> str:
     """The probe error with its tolerance and what the tolerance means.
 
-    Each block E (d x d, one per label alpha) is probed as E X.  For a
-    standard complex Gaussian x, |(E x)_i|^2 is exponential with mean
+    Each block E (d x d, one per label alpha) is probed as E X, whose columns
+    are the standard complex Gaussians of ``_state_probes``, drawn from the
+    standard library's Mersenne Twister by Box-Muller.  For a standard
+    complex Gaussian x, |(E x)_i|^2 is exponential with mean
     sum_m |E_im|^2 >= max_m |E_im|^2, so a row holding an entry error above
     _ENTRY_TOL keeps |(E x)_i| <= _PROBE_TOL with probability below
     (_PROBE_TOL/_ENTRY_TOL)^2, and escapes all k independent probes with
@@ -493,7 +487,11 @@ def _coherent_resolution(dim: GridDim, X: np.ndarray) -> CheckResult:
         family = frames.coherent_family(dim, fam)
         for a in _label_chunks(dim):
             S = family._states(a[:, None], n)  # [a, b + j, n + j]
-            norm_err = max(norm_err, float(np.max(np.abs(np.linalg.norm(S, axis=2) - 1.0))))
+            # the squares of the real and imaginary parts, summed in place of
+            # np.linalg.norm, which makes a conjugate copy of the chunk
+            parts = S.view(float)
+            norms = np.sqrt(np.einsum("abk,abk->ab", parts, parts))
+            norm_err = max(norm_err, float(np.max(np.abs(norms - 1.0))))
             # S_a^* X = (S_a X^*)^*, one GEMM over the whole chunk
             Y = (S.reshape(-1, d) @ X.conj()).conj().reshape(len(a), d, -1)
             E = S.transpose(0, 2, 1) @ Y
@@ -525,8 +523,8 @@ def _check_frames(dim: GridDim) -> list[CheckResult]:
     I = LinearOperator.identity(dim)
     D = partial(frames.displacement, dim)
     err = _op_err(D(0, 0), I)
-    rng = np.random.default_rng(31)
-    labels = [tuple(rng.integers(-j, j + 1, size=2)) for _ in range(4)]
+    # four labels in -j..j; the modulo's bias, below d 2^-64, is immaterial here
+    labels = [(a % d - j, b % d - j) for a, b in _SeededDraws(31).words(4, 2).tolist()]
     F = fourier_operator(dim)
     Fh = F.adjoint()
     labelled = [D(a, b) for a, b in labels]

@@ -24,7 +24,7 @@ import numpy as np
 from . import checks, frames, kravchuk, oscillators
 from .wigner import wigner as wigner_map
 from .gaussians import Family, _check_kappa, normalized_gaussian
-from .grid import GridDim, GridFunction, InputError, _check_tolerance, inner_product
+from .grid import GridDim, GridFunction, InputError, _SeededDraws, _check_tolerance, inner_product
 from .grid import eigendecompose_hermitian, hermitian_eigenvalues
 from .oscillators import _KINDS, _check_kind, _check_min_len, evolve_spectral
 
@@ -70,6 +70,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         _check_min_len(args.min_len)
     if opts.get("samples") is not None and args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if opts.get("seed") is not None and args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
 
     out = args.out
     if out is None:
@@ -229,9 +231,7 @@ def _pick_state(cfg: RunConfig) -> GridFunction:
         return GridFunction.delta(cfg.dim, 0)
     if cfg.state == "gaussian":
         return normalized_gaussian(cfg.dim, cfg.family or Family.G1, cfg.kappa)
-    rng = np.random.default_rng(cfg.seed)
-    v = rng.normal(size=cfg.dim.d) + 1j * rng.normal(size=cfg.dim.d)
-    psi = GridFunction(cfg.dim, v)
+    psi = GridFunction(cfg.dim, _SeededDraws(cfg.seed).complex_normals(cfg.dim.d))
     return psi / psi.norm()
 
 

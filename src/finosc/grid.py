@@ -1,5 +1,5 @@
-"""Index grid, inner-product space, discrete Fourier transform and a dense
-Hermitian eigensolver.
+"""Index grid, inner-product space, discrete Fourier transform, a dense
+Hermitian eigensolver and the library's seeded random draws.
 
 The state space is the set of complex functions on the symmetric integer grid
 {-j, ..., j} of odd size d = 2j+1, with periodic (mod d) index extension.
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 import numbers
+import random
 
 import numpy as np
 
@@ -322,6 +324,35 @@ def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
     # shifted[i_n, i_m] = psi(n - m) in storage indices (value n <-> index n + j)
     shifted = psi.values[(i[:, None] - i[None, :] + j) % d]
     return _adopt(GridFunction, phi.dim, shifted @ phi.values)
+
+
+class _SeededDraws:
+    """Seeded random draws: the identity checks' probes and the CLI's random
+    state.  They come from the standard library's Mersenne Twister
+    (``random.Random(seed)``) as raw bytes, turned into arrays in numpy, so
+    no draw imports ``numpy.random``, whose import costs a one-shot command
+    more than its draws do.  A seed gives the same draws on every run and
+    platform; a negative seed draws as its absolute value does."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def words(self, *shape: int) -> np.ndarray:
+        """Independent uniform 64-bit unsigned integers."""
+        raw = self._rng.randbytes(8 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<u8").reshape(shape)
+
+    def uniforms(self, *shape: int) -> np.ndarray:
+        """Independent uniforms on [0, 1): the top 53 bits of each word, so
+        every value is a multiple of 2^-53."""
+        return (self.words(*shape) >> np.uint64(11)) * 2.0**-53
+
+    def complex_normals(self, *shape: int) -> np.ndarray:
+        """Independent complex values whose real and imaginary parts are
+        independent N(0, 1), by Box-Muller on pairs of uniforms (u, v):
+        sqrt(-2 ln(1 - u)) e^{2 pi i v}, with 1 - u in (0, 1]."""
+        u, v = self.uniforms(2, *shape)
+        return np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * np.pi * v)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,7 @@ NUMERIC_USAGE_ERRORS = [
     usage_case(
         "zero-samples", "revival --dim 9 --kind kravchuk --samples 0", "--samples", "at least 1"
     ),
+    usage_case("negative-seed", "revival --dim 9 --kind kravchuk --seed -3", "--seed", "non-negative"),
     usage_case(
         "zero-samples-svg",
         "revival --dim 9 --kind kravchuk --samples 0 --format svg",
@@ -620,6 +621,30 @@ def one_thread_digest(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestSeededRevivalState:
+    def test_fresh_process_never_imports_numpy_random(self, tmp_path):
+        """A random-state revival and the identity suite draw through the
+        standard library, so numpy.random stays unloaded; a seed gives the
+        same bytes twice, and another seed another state."""
+        probe = (
+            "import hashlib, sys; from finosc.cli import main; out = sys.argv[1]; digests = []\n"
+            "revival = ['revival', '--kind', 'harper', '--dim', '7', '--out', out]\n"
+            "for seed in ('3', '3', '4'):\n"
+            "    assert main([*revival, '--seed', seed]) == 0\n"
+            "    digests.append(hashlib.sha256(open(out, 'rb').read()).hexdigest())\n"
+            "assert main(['verify', '--dim', '5', '--out', out]) == 0\n"
+            "print(*digests, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", probe, str(tmp_path / "out.csv")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        first, again, other, loaded = proc.stdout.split()
+        assert first == again != other
+        assert loaded == "False"
 
 
 class TestWignerBytes:

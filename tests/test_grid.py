@@ -826,3 +826,29 @@ class TestGridFunctionBasics:
         op = outer(a, b)
         assert op.entry(-1, 1) == 1.0
         assert op.entry(1, -1) == 0.0
+
+
+class TestSeededDraws:
+    """The library's seeded draws (the checks' probes, the CLI's random state)."""
+
+    N = 200_000
+
+    def test_complex_normals_are_standard(self):
+        z = grid._SeededDraws(5).complex_normals(self.N)
+        # 5 sigma CLT bounds: over n independent N(0, 1) draws the sample mean
+        # has standard deviation 1/sqrt(n), the sample variance sqrt(2/n), and
+        # the correlation of two independent parts about 1/sqrt(n)
+        n = self.N
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) <= 5 / math.sqrt(n)
+            assert abs(part.var() - 1.0) <= 5 * math.sqrt(2 / n)
+        assert abs(np.corrcoef(z.real, z.imag)[0, 1]) <= 5 / math.sqrt(n)
+        assert np.array_equal(z, grid._SeededDraws(5).complex_normals(n))
+
+    def test_shapes_and_ranges(self):
+        draws = grid._SeededDraws(1)
+        assert draws.complex_normals(3, 4).shape == (3, 4)
+        assert draws.words(2, 5).dtype == np.uint64 and draws.words(2, 5).shape == (2, 5)
+        u = draws.uniforms(1000)
+        assert u.min() >= 0.0 and u.max() < 1.0 and np.all(u * 2.0**53 == np.floor(u * 2.0**53))
+        assert not np.array_equal(grid._SeededDraws(1).words(8), grid._SeededDraws(2).words(8))

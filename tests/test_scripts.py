@@ -50,6 +50,7 @@ def test_bench_d7(tmp_path):
         "check_kravchuk",
         "cli_frame_check",
         "cli_kravchuk_table",
+        "cli_revival",
         "cli_spectrum",
         "cli_verify",
         "cli_wigner",
@@ -66,7 +67,8 @@ def test_bench_d7(tmp_path):
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
     for cell in ("kravchuk_table", "frame_hamiltonian"):
         assert cells[cell]["7"]["status"] == ["ok"]
-    for cli_cell in ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_verify"):
+    cli_cells = ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_revival", "cli_verify")
+    for cli_cell in cli_cells:
         assert cells[cli_cell]["7"]["status"] == ["exit 0"]
 
 
