@@ -59,18 +59,30 @@ import tempfile
 import time
 from pathlib import Path
 
-CELLS = (
-    "kravchuk_table",
-    "check_kravchuk",
-    "cli_kravchuk_table",
-    "check_frames",
-    "cli_frame_check",
-    "frame_hamiltonian",
-    "cli_spectrum",
-    "cli_wigner",
-    "cli_revival",
-    "cli_verify",
-)
+
+def _ok(_result) -> str:
+    return "ok"
+
+
+def _passed(results) -> str:
+    return f"{sum(r.passed for r in results)}/{len(results)} passed"
+
+
+# every cell in timing order: a library cell is a callable of (finosc, dim)
+# that returns its status; a CLI cell is the finosc argv that precedes
+# ``--dim d --out FILE``, and its status is the exit code
+CELLS = {
+    "kravchuk_table": lambda finosc, dim: _ok(finosc.kravchuk.kravchuk_table(dim)),
+    "check_kravchuk": lambda finosc, dim: _passed(finosc.checks._check_kravchuk(dim)),
+    "cli_kravchuk_table": ["kravchuk-table"],
+    "check_frames": lambda finosc, dim: _passed(finosc.checks._check_frames(dim)),
+    "cli_frame_check": ["frame-check", "--family", "g4"],
+    "frame_hamiltonian": lambda finosc, dim: _ok(finosc.oscillators.frame_hamiltonian(dim, 1)),
+    "cli_spectrum": ["spectrum", "--kind", "harper"],
+    "cli_wigner": ["wigner", "--family", "g1", "--kappa", "1"],
+    "cli_revival": ["revival", "--kind", "harper"],
+    "cli_verify": ["verify"],
+}
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEAT = 3
 TIMEOUT_S = 600.0
@@ -90,40 +102,26 @@ def load_probes():
 
 def run_cell(cell: str, d: int) -> None:
     """Worker: time one run of ``cell`` at dimension d and print it as JSON."""
+    if cell not in CELLS:
+        raise ValueError(f"unknown cell {cell!r}; choose from {', '.join(CELLS)}")
     import resource
 
     limit = MEMORY_LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     probes = load_probes()
-    from finosc import checks, kravchuk, oscillators
-    from finosc.cli import main as cli
+    import finosc
+    from finosc.cli import main as cli  # also loads the library modules the cells call
     from finosc.grid import GridDim
 
     dim = GridDim.from_size(d)
+    action = CELLS[cell]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
         start = time.perf_counter()
-        if cell == "kravchuk_table":
-            kravchuk.kravchuk_table(dim)
-            status = "ok"
-        elif cell == "frame_hamiltonian":
-            oscillators.frame_hamiltonian(dim, 1)
-            status = "ok"
-        elif cell.startswith("check_"):
-            results = getattr(checks, f"_{cell}")(dim)
-            status = f"{sum(r.passed for r in results)}/{len(results)} passed"
-        elif cell == "cli_kravchuk_table":
-            status = f"exit {cli(['kravchuk-table', '--dim', str(d), '--out', out])}"
-        elif cell == "cli_spectrum":
-            status = f"exit {cli(['spectrum', '--kind', 'harper', '--dim', str(d), '--out', out])}"
-        elif cell == "cli_wigner":
-            status = f"exit {cli(['wigner', '--family', 'g1', '--kappa', '1', '--dim', str(d), '--out', out])}"
-        elif cell == "cli_revival":
-            status = f"exit {cli(['revival', '--kind', 'harper', '--dim', str(d), '--out', out])}"
-        elif cell == "cli_verify":
-            status = f"exit {cli(['verify', '--dim', str(d), '--out', out])}"
+        if callable(action):
+            status = action(finosc, dim)
         else:
-            status = f"exit {cli(['frame-check', '--family', 'g4', '--dim', str(d), '--out', out])}"
+            status = f"exit {cli([*action, '--dim', str(d), '--out', out])}"
         seconds = time.perf_counter() - start
     peak, threads = probes.peak_rss_mb(), probes.blas_threads()
     print(json.dumps({"s": seconds, "vmhwm_mib": peak, "blas_threads": threads, "status": status}), flush=True)

@@ -2,10 +2,13 @@
 oscillator spectra, revival analyses and the identity-check suite.
 
 Subcommands: gaussian, wigner, spectrum, verify, revival, kravchuk-table,
-frame-check.  Configuration precedence is flags > FINOSC_* environment
-variables > defaults.  Exit codes: 0 success, 1 computation or verification
-failure, 2 an InputError (an argument outside its domain), raised by the
-library's own input rules or by the few flags only the command line has.
+frame-check.  Every flag is checked, and --dim, --family, --tol and --out
+resolved, in the parsed namespace before any computation; each command reads
+its own flags from it.  Configuration precedence is flags > FINOSC_*
+environment variables > defaults.  Exit codes: 0 success, 1 computation or
+verification failure, 2 an InputError (an argument outside its domain),
+raised by the library's own input rules or by the few flags only the command
+line has.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,79 +33,46 @@ from .oscillators import _KINDS, _check_kind, _check_min_len, evolve_spectral
 __all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    dim: GridDim
-    family: Family | None
-    kappa: float | None
-    kind: str | None
-    alpha: float | None
-    state: str | None
-    seed: int | None
-    samples: int | None
-    tol: float
-    min_len: int | None
-    out: Path | None
-    fmt: str
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    """The run's configuration, with every flag checked against the library's
-    rules before any computation starts."""
+def _check_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check every flag against the library's rules before any computation
+    starts, and resolve the shared ones in place: ``dim`` to a GridDim,
+    ``family`` (where the subcommand has --family) to a Family or None,
+    ``tol`` to a float (flag, then FINOSC_TOL, then 1e-10) and ``out`` to a
+    Path or None (flag, then FINOSC_OUT_DIR).  Returns ``args``."""
     opts = vars(args)
-    dim = GridDim.from_size(args.dim)
-    family = Family.from_label(args.family) if opts.get("family") else None
+    args.dim = GridDim.from_size(args.dim)
+    if "family" in opts:
+        args.family = Family.from_label(args.family) if args.family else None
     # a kappa is vetted even where --state delta0 ignores it, as a theta family's
-    _check_kappa(family or Family.G1, opts.get("kappa"))
-    tol = args.tol
-    if tol is None:
+    _check_kappa(opts.get("family") or Family.G1, opts.get("kappa"))
+    if args.tol is None:
         raw = os.environ.get("FINOSC_TOL", "1e-10")
         try:
-            tol = float(raw)
+            args.tol = float(raw)
         except ValueError:
             raise InputError(f"environment variable FINOSC_TOL is not a number: {raw!r}") from None
-    _check_tolerance(tol)
+    _check_tolerance(args.tol)
     if opts.get("kind") is not None:
-        _check_kind(args.kind, family, args.alpha)
+        _check_kind(args.kind, args.family, args.alpha)
     if opts.get("min_len") is not None:
         _check_min_len(args.min_len)
     if opts.get("samples") is not None and args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     if opts.get("seed") is not None and args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
-
-    out = args.out
-    if out is None:
-        out_dir = os.environ.get("FINOSC_OUT_DIR")
-        if out_dir:
-            out = Path(out_dir) / f"{args.command.replace('-', '_')}.csv"
-    else:
-        out = Path(out)
-
-    return RunConfig(
-        command=args.command,
-        dim=dim,
-        family=family,
-        kappa=opts.get("kappa"),
-        kind=opts.get("kind"),
-        alpha=opts.get("alpha"),
-        state=opts.get("state"),
-        seed=opts.get("seed"),
-        samples=opts.get("samples"),
-        tol=tol,
-        min_len=opts.get("min_len"),
-        out=out,
-        fmt=args.format,
-    )
+    if args.out is not None:
+        args.out = Path(args.out)
+    elif os.environ.get("FINOSC_OUT_DIR"):
+        args.out = Path(os.environ["FINOSC_OUT_DIR"]) / f"{args.command.replace('-', '_')}.csv"
+    return args
 
 
-def _write_csv(cfg: RunConfig, header: list[str], row_format: str, rows) -> None:
+def _write_csv(args: argparse.Namespace, header: list[str], row_format: str, rows) -> None:
     """Write the header and one line ``row_format % row`` per row, streamed.
     Fields are integers (``%d``), floats (``%.17g``) or empty, so none needs
     CSV quoting."""
     lines = map((row_format + "\n").__mod__, rows)
-    _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
+    _write_text(args, itertools.chain([",".join(header) + "\n"], lines))
 
 
 _SIGN_BIT = np.int64(-(2**63))
@@ -126,11 +95,11 @@ def _format_floats(a: np.ndarray) -> np.ndarray:
     return text[inverse.reshape(a.shape)]
 
 
-def _write_grid_csv(cfg: RunConfig, header: list[str], *tables: np.ndarray) -> None:
+def _write_grid_csv(args: argparse.Namespace, header: list[str], *tables: np.ndarray) -> None:
     """Write d x d tables as one line ``n,m,t1[n,m],t2[n,m],...`` per grid
     point in row-major order, the same bytes as ``_write_csv`` with
     ``"%d,%d,%.17g,..."``, streamed one grid row per chunk."""
-    labels = [f"{n}," for n in cfg.dim.indices().tolist()]
+    labels = [f"{n}," for n in args.dim.indices().tolist()]
     texts = [_format_floats(t) for t in tables]
     d, stride = len(labels), 2 + 2 * len(texts)
     # the pieces of one grid row: d lines of [row label, column label, value,
@@ -146,17 +115,17 @@ def _write_grid_csv(cfg: RunConfig, header: list[str], *tables: np.ndarray) -> N
                 pieces[2 + 2 * k :: stride] = text[r].tolist()
             yield "".join(pieces)
 
-    _write_text(cfg, itertools.chain([",".join(header) + "\n"], rows()))
+    _write_text(args, itertools.chain([",".join(header) + "\n"], rows()))
 
 
-def _write_text(cfg: RunConfig, text) -> None:
+def _write_text(args: argparse.Namespace, text) -> None:
     """Write ``text``, a string or an iterable of strings, to --out or stdout."""
     chunks = [text] if isinstance(text, str) else text
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.writelines(chunks)
     else:
-        cfg.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(cfg.out, "w") as fh:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        with open(args.out, "w") as fh:
             fh.writelines(chunks)
 
 
@@ -226,54 +195,54 @@ def _svg_line(ts, values) -> str:
 # --- subcommand implementations -----------------------------------------------
 
 
-def _pick_state(cfg: RunConfig) -> GridFunction:
-    if cfg.state == "delta0":
-        return GridFunction.delta(cfg.dim, 0)
-    if cfg.state == "gaussian":
-        return normalized_gaussian(cfg.dim, cfg.family or Family.G1, cfg.kappa)
-    psi = GridFunction(cfg.dim, _SeededDraws(cfg.seed).complex_normals(cfg.dim.d))
+def _pick_state(args: argparse.Namespace) -> GridFunction:
+    if args.state == "delta0":
+        return GridFunction.delta(args.dim, 0)
+    if args.state == "gaussian":
+        return normalized_gaussian(args.dim, args.family or Family.G1)
+    psi = GridFunction(args.dim, _SeededDraws(args.seed).complex_normals(args.dim.d))
     return psi / psi.norm()
 
 
-def _cmd_gaussian(cfg: RunConfig) -> int:
-    g = normalized_gaussian(cfg.dim, cfg.family, cfg.kappa)
-    ns = cfg.dim.indices()
+def _cmd_gaussian(args: argparse.Namespace) -> int:
+    g = normalized_gaussian(args.dim, args.family, args.kappa)
+    ns = args.dim.indices()
     vals = g.values.real
-    if cfg.fmt == "svg":
-        _write_text(cfg, _svg_stem(ns, vals))
+    if args.format == "svg":
+        _write_text(args, _svg_stem(ns, vals))
     else:
         rows = [(int(n), float(v), float(v * v)) for n, v in zip(ns, vals)]
-        _write_csv(cfg, ["n", "value", "prob"], "%d,%.17g,%.17g", rows)
+        _write_csv(args, ["n", "value", "prob"], "%d,%.17g,%.17g", rows)
     return 0
 
 
-def _cmd_wigner(cfg: RunConfig) -> int:
-    if cfg.state == "delta0":
-        psi = GridFunction.delta(cfg.dim, 0)
-    elif cfg.family is not None:
-        psi = normalized_gaussian(cfg.dim, cfg.family, cfg.kappa)
+def _cmd_wigner(args: argparse.Namespace) -> int:
+    if args.state == "delta0":
+        psi = GridFunction.delta(args.dim, 0)
+    elif args.family is not None:
+        psi = normalized_gaussian(args.dim, args.family, args.kappa)
     else:
         raise InputError("wigner requires --family or --state delta0")
     W = wigner_map(psi)
-    if cfg.fmt == "svg":
-        _write_text(cfg, _svg_heatmap(W.values))
+    if args.format == "svg":
+        _write_text(args, _svg_heatmap(W.values))
         return 0
-    _write_grid_csv(cfg, ["n", "m", "w"], W.values)
+    _write_grid_csv(args, ["n", "m", "w"], W.values)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    H = oscillators.hamiltonian(args.dim, args.kind, family=args.family, alpha=args.alpha)
     eigs = hermitian_eigenvalues(H)
-    if cfg.fmt == "svg":
-        _write_text(cfg, _svg_levels(eigs))
+    if args.format == "svg":
+        _write_text(args, _svg_levels(eigs))
     else:
-        _write_csv(cfg, ["index", "eigenvalue"], "%d,%.17g", enumerate(eigs.tolist()))
+        _write_csv(args, ["index", "eigenvalue"], "%d,%.17g", enumerate(eigs.tolist()))
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    results = checks.run_checks(cfg.dim)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = checks.run_checks(args.dim)
     lines = []
     failed = 0
     for r in results:
@@ -283,46 +252,46 @@ def _cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"{status}  {r.name}" + (f"  ({r.detail})" if r.detail else ""))
         failed += 0 if r.passed else 1
     skipped = sum(r.skipped for r in results)
-    summary = f"{len(results) - failed}/{len(results)} checks passed at d={cfg.dim.d}"
+    summary = f"{len(results) - failed}/{len(results)} checks passed at d={args.dim.d}"
     lines.append(summary + (f" ({skipped} skipped)" if skipped else ""))
-    _write_text(cfg, "\n".join(lines) + "\n")
+    _write_text(args, "\n".join(lines) + "\n")
     return 0 if failed == 0 else 1
 
 
-def _cmd_revival(cfg: RunConfig) -> int:
-    H = oscillators.hamiltonian(cfg.dim, cfg.kind, family=cfg.family, alpha=cfg.alpha)
+def _cmd_revival(args: argparse.Namespace) -> int:
+    H = oscillators.hamiltonian(args.dim, args.kind, family=args.family, alpha=args.alpha)
     dec = eigendecompose_hermitian(H)
-    report = oscillators.detect_revivals(dec, min_len=cfg.min_len, tol=cfg.tol)
+    report = oscillators.detect_revivals(dec, min_len=args.min_len, tol=args.tol)
     if report.progressions:
         longest = max(report.progressions, key=lambda p: p.length)
         horizon = 2.0 * longest.period
     else:
         horizon = 4.0 * math.pi
-    psi = _pick_state(cfg)
-    ts = np.linspace(0.0, horizon, cfg.samples)
+    psi = _pick_state(args)
+    ts = np.linspace(0.0, horizon, args.samples)
     fidelity = [abs(inner_product(psi, evolve_spectral(dec, psi, float(t)))) for t in ts]
-    if cfg.fmt == "svg":
-        _write_text(cfg, _svg_line(list(ts), fidelity))
+    if args.format == "svg":
+        _write_text(args, _svg_line(list(ts), fidelity))
         return 0
     rows = [
         "progression,%d,%d,%.17g,%.17g,," % (p.start, p.length, p.gap, p.period)
         for p in report.progressions
     ]
     rows += ["fidelity,,,,,%.17g,%.17g" % tf for tf in zip(ts.tolist(), fidelity)]
-    _write_csv(cfg, ["record", "start", "length", "gap", "period", "t", "fidelity"], "%s", rows)
+    _write_csv(args, ["record", "start", "length", "gap", "period", "t", "fidelity"], "%s", rows)
     return 0
 
 
-def _cmd_kravchuk_table(cfg: RunConfig) -> int:
-    table = kravchuk.kravchuk_table(cfg.dim)
-    _write_grid_csv(cfg, ["m", "n", "poly", "func"], table.poly, table.func)
+def _cmd_kravchuk_table(args: argparse.Namespace) -> int:
+    table = kravchuk.kravchuk_table(args.dim)
+    _write_grid_csv(args, ["m", "n", "poly", "func"], table.poly, table.func)
     return 0
 
 
-def _cmd_frame_check(cfg: RunConfig) -> int:
-    diag = frames.frame_analyze(frames.coherent_family(cfg.dim, cfg.family), tol=cfg.tol)
+def _cmd_frame_check(args: argparse.Namespace) -> int:
+    diag = frames.frame_analyze(frames.coherent_family(args.dim, args.family), tol=args.tol)
     _write_csv(
-        cfg,
+        args,
         ["lower", "upper", "spread", "weight_sum", "tight"],
         "%.17g,%.17g,%.17g,%.17g,%d",
         [(diag.lower, diag.upper, diag.upper - diag.lower, diag.weight_sum, diag.is_tight)],
@@ -407,7 +376,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_build_config(args))
+        return _COMMANDS[args.command](_check_args(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -434,8 +434,8 @@ def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
 
 
 def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
-    """Validate, symmetrize, solve and sort: the Hermitian working copy, its
-    Frobenius norm and the eigenvalues in ascending (stable) order with their
+    """Validate, symmetrize and solve: the Hermitian working copy, its
+    Frobenius norm and the eigenvalues in LAPACK's ascending order with their
     eigenvectors as columns.  The zero matrix gives norm 0 and the identity."""
     d = M.dim.d
     A = M.matrix
@@ -453,9 +453,9 @@ def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
         vals, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
-
-    order = np.argsort(vals, kind="stable")
-    return A, norm, vals[order], V[:, order]
+    # eigh's eigenvalues already ascend; the column-major copy is kept because
+    # the cluster Gram-Schmidt's vdot rounds according to the memory layout
+    return A, norm, vals, np.asfortranarray(V)
 
 
 def hermitian_eigenvalues(M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI) -> np.ndarray:
@@ -471,8 +471,8 @@ def eigendecompose_hermitian(
     """Diagonalize a Hermitian operator with a deterministic eigenvector convention.
 
     The eigenpairs come from LAPACK (``numpy.linalg.eigh``); its failure
-    raises ``ConvergenceError``.  The convention: eigenvalues ascend (stable
-    sort), eigenvectors within a degenerate cluster (gap below
+    raises ``ConvergenceError``.  The convention: eigenvalues ascend (LAPACK's
+    order), eigenvectors within a degenerate cluster (gap below
     ``config.degeneracy_gap``) are re-orthonormalized by modified
     Gram-Schmidt in index order, and each eigenvector carries the phase that
     makes its largest-magnitude entry real and positive.  Non-finite or

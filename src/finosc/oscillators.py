@@ -64,7 +64,7 @@ __all__ = [
 _FOURIER_TOL = 1e-8
 # Lanczos on diag(n) refuses once beta_k / j falls below this (Krylov breakdown)
 _BREAKDOWN = 1e-10
-_LADDER_CACHE_SIZE = 32  # Harper bases, and Gram-Schmidt ladders, kept
+_LADDER_CACHE_SIZE = 32  # Harper bases kept
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -362,7 +362,6 @@ def orthonormal_functions_for_weight(
     return [mult / root * q for q in Q.T], float(betas.min()) / j
 
 
-@lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOscillator:
     """Oscillator with ground state G_i: phi_m = G_i * Phi_m for the polynomials
     orthonormal under the weight G_i^2, and H = sum (j+m+1/2) |phi_m><phi_m|."""

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -118,10 +119,7 @@ def ndenumerate_heatmap(matrix):
 
 
 def grid_config(dim, out=None):
-    return cli.RunConfig(
-        command="wigner", dim=dim, family=None, kappa=None, kind=None, alpha=None, state=None,
-        seed=None, samples=None, tol=1e-10, min_len=None, out=out, fmt="csv",
-    )
+    return argparse.Namespace(dim=dim, out=out)
 
 
 # float64 values whose text is easy to get wrong when formatting by distinct value:
@@ -781,6 +779,42 @@ class TestOutputHandling:
         assert code == 0
         assert target.exists()
         assert not (tmp_path / "envdir").exists()
+
+    # each subcommand's extra flags, and the Family its --family resolves to
+    # (absent where the subcommand has no --family)
+    CHECKED = {
+        "gaussian": (["--family", "g2"], Family.G2),
+        "wigner": (["--state", "delta0"], None),
+        "spectrum": (["--kind", "frame", "--family", "g5"], Family.G5),
+        "verify": ([], "absent"),
+        "revival": (["--kind", "harper"], None),
+        "kravchuk-table": ([], "absent"),
+        "frame-check": (["--family", "g1"], Family.G1),
+    }
+
+    @pytest.mark.parametrize("command", list(CHECKED))
+    def test_check_args_resolves_shared_flags(self, command, tmp_path, monkeypatch):
+        extra, family = self.CHECKED[command]
+
+        def checked(*flags):
+            return cli._check_args(cli._parser().parse_args([command, "--dim", "7", *extra, *flags]))
+
+        monkeypatch.delenv("FINOSC_TOL", raising=False)
+        monkeypatch.delenv("FINOSC_OUT_DIR", raising=False)
+        args = checked()
+        assert args.dim == GridDim.from_size(7)
+        assert vars(args).get("family", "absent") == family
+        assert type(args.tol) is float and args.tol == 1e-10
+        assert args.out is None
+
+        monkeypatch.setenv("FINOSC_TOL", "1e-6")
+        monkeypatch.setenv("FINOSC_OUT_DIR", str(tmp_path))
+        args = checked()
+        assert type(args.tol) is float and args.tol == 1e-6
+        assert args.out == tmp_path / f"{command.replace('-', '_')}.csv"
+
+        args = checked("--tol", "1e-8", "--out", "x.csv")
+        assert args.tol == 1e-8 and args.out == Path("x.csv")
 
     def test_bad_env_tol_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("FINOSC_TOL", "not-a-number")

@@ -703,7 +703,6 @@ class TestStructuredWeylHeisenberg:
             kravchuk.kravchuk_table: kravchuk._KRAVCHUK_CACHE_SIZE,
             kravchuk.su2_generators: kravchuk._KRAVCHUK_CACHE_SIZE,
             oscillators.harper_basis: oscillators._LADDER_CACHE_SIZE,
-            oscillators.gram_schmidt_oscillator: oscillators._LADDER_CACHE_SIZE,
             coherent_family: frames._FAMILY_CACHE_SIZE,
         }
         for cached, bound in bounds.items():

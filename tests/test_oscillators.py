@@ -306,6 +306,16 @@ class TestGramSchmidt:
         T = Q.T @ np.diag(dim.indices().astype(float)) @ Q
         assert np.max(np.abs(np.triu(T, 2))) < 1e-13 * dim.j
 
+    @pytest.mark.parametrize("d", [7, 23])
+    def test_integer_and_enum_family_agree_uncached(self, d):
+        dim = GridDim.from_size(d)
+        by_int, by_enum = gram_schmidt_oscillator(dim, 1), gram_schmidt_oscillator(dim, Family.G1)
+        assert by_int.family is by_enum.family is Family.G1
+        assert np.array_equal(by_int.columns, by_enum.columns)
+        assert np.array_equal(by_int.operator.matrix, by_enum.operator.matrix)
+        # no cache keyed on the raw argument holds a second copy of the ladder
+        assert not hasattr(gram_schmidt_oscillator, "cache_info")
+
     def test_binomial_weight_recovers_kravchuk_d101(self):
         dim = GridDim.from_size(101)
         table = kravchuk_table(dim)

@@ -86,3 +86,8 @@ def test_bench_refuses_an_unknown_cell(capsys):
         load("bench").main(["--cells", "cli_frame_check,nope", "--dims", "7"])
     assert exc.value.code == 2
     assert "unknown nope" in capsys.readouterr().err
+
+
+def test_bench_worker_refuses_an_unknown_cell():
+    with pytest.raises(ValueError, match="unknown cell 'nope'"):
+        load("bench").run_cell("nope", 7)
