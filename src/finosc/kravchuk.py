@@ -20,9 +20,8 @@ basis diagonalizing J_x with integer eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, factorial, ldexp, sqrt
 
 import numpy as np
 
@@ -43,10 +42,19 @@ __all__ = [
 _KRAVCHUK_CACHE_SIZE = 16  # tables, and generator sets, kept per dimension
 
 
-def _check_index(dim: GridDim, value: int, name: str) -> int:
-    if not -dim.j <= value <= dim.j:
-        raise InputError(f"{name}={value} outside the grid range [-{dim.j}, {dim.j}]")
-    return int(value)
+def _check_grid(dim: GridDim, **indices: int) -> tuple[int, ...]:
+    """The indices as ints, once each lies in [-j, j] and every K_m(n) of the
+    grid fits in float64: by Vandermonde |K_m(n)| <= C(2j, j+m) <= C(2j, j),
+    one exact test that bounds the binomial ratios too and passes to d = 1029."""
+    j = dim.j
+    for name, value in indices.items():
+        if not -j <= value <= j:
+            raise InputError(f"{name}={value} outside the grid range [-{j}, {j}]")
+    if comb(2 * j, j) >= 2**1024:
+        raise InputError(
+            f"Kravchuk values at d = {dim.d} reach C({2 * j}, {j}) >= 2^1024, past the float64 range"
+        )
+    return tuple(int(value) for value in indices.values())
 
 
 def _kravchuk_polynomial_int(j: int, m: int, n: int) -> int:
@@ -62,18 +70,16 @@ def _kravchuk_polynomial_int(j: int, m: int, n: int) -> int:
 def kravchuk_polynomial(dim: GridDim, m: int, n: int) -> float:
     """K_m(n) via the alternating binomial sum, exact until the final rounding."""
     j = dim.j
-    m = _check_index(dim, m, "m")
-    n = _check_index(dim, n, "n")
+    m, n = _check_grid(dim, m=m, n=n)
     return float(_kravchuk_polynomial_int(j, m, n))
 
 
 def kravchuk_function(dim: GridDim, m: int, n: int) -> float:
-    """The orthonormal weighted value 2^{-j} sqrt(C(2j,j+n)/C(2j,j+m)) K_m(n)."""
+    """The orthonormal weighted value sqrt(C(2j,j+n)/C(2j,j+m)) (K_m(n) 2^{-j})."""
     j = dim.j
-    m = _check_index(dim, m, "m")
-    n = _check_index(dim, n, "n")
-    ratio = Fraction(comb(2 * j, j + n), comb(2 * j, j + m) * 4**j)
-    return sqrt(float(ratio)) * _kravchuk_polynomial_int(j, m, n)
+    m, n = _check_grid(dim, m=m, n=n)
+    ratio = comb(2 * j, j + n) / comb(2 * j, j + m)
+    return sqrt(ratio) * ldexp(float(_kravchuk_polynomial_int(j, m, n)), -j)
 
 
 def _hypergeometric_int(j: int, m: int, n: int) -> int:
@@ -97,8 +103,8 @@ def kravchuk_function_hypergeometric(dim: GridDim, m: int, n: int) -> float:
     is divided by (2j)! once.
     """
     j = dim.j
-    m = _check_index(dim, m, "m")
-    n = _check_index(dim, n, "n")
+    m, n = _check_grid(dim, m=m, n=n)
+    # >= 4^-j: subnormal only at the four corners from d = 1025, as the exact 2^-2j
     weight = comb(2 * j, j + m) * comb(2 * j, j + n) / 4**j
     return sqrt(weight) * (_hypergeometric_int(j, m, n) / factorial(2 * j))
 
@@ -137,16 +143,18 @@ def kravchuk_table(dim: GridDim) -> KravchukTable:
 
     Column n holds the coefficients k = 0..j of (1-X)^{j+n} (1+X)^{j-n}, kept
     as Python integers one column at a time; the division reads only lower
-    k, so the truncated column is exact.  Every entry equals the scalar
-    ``kravchuk_polynomial``/``kravchuk_function`` value bit for bit: both
-    round the same exact integers and correctly rounded ratios, and a
-    reflection only flips signs.  A mirrored zero is stored as +0.0, as the
-    scalar routes give it.
+    k, so the truncated column is exact.  The 2^-j scales the rounded K_m(n),
+    exactly, since every nonzero |K_m(n)| 2^-j >= 2^-514 is normal up to
+    d = 1029; on the binomial ratio it would underflow from d = 515.  Every
+    entry equals the scalar ``kravchuk_polynomial``/``kravchuk_function``
+    value bit for bit: both round the same exact integers and correctly
+    rounded ratios, and a reflection only flips signs.  A mirrored zero is
+    stored as +0.0, as the scalar routes give it.
     """
+    _check_grid(dim)
     j, d = dim.j, dim.d
     half = j + 1
     binom = [comb(2 * j, k) for k in range(half)]
-    denom = [b * 4**j for b in binom]
     poly = np.empty((d, d))
     func = np.empty((d, d))
     col = binom
@@ -161,7 +169,7 @@ def kravchuk_table(dim: GridDim) -> KravchukTable:
                 nxt.append(q)
             col = nxt
         poly[:half, ni] = [float(c) for c in col]
-        func[:half, ni] = np.sqrt([binom[ni] / den for den in denom]) * poly[:half, ni]
+        func[:half, ni] = np.sqrt([binom[ni] / b for b in binom]) * np.ldexp(poly[:half, ni], -j)
     # (-1)^{j+i} for grid index i; the weights are even in m and in n
     sign = np.where((j + dim.indices()) % 2, -1.0, 1.0)
     for t in (poly, func):

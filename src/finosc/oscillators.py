@@ -312,41 +312,34 @@ class GramSchmidtOscillator:
         return _views(self.dim, self.columns.T)
 
 
-def orthonormal_functions_for_weight(
-    dim: GridDim, weight: np.ndarray, multiplier: np.ndarray
-) -> tuple[list[np.ndarray], float]:
+def orthonormal_functions_for_weight(dim: GridDim, amplitude: np.ndarray) -> tuple[np.ndarray, float]:
     """Orthonormalize the polynomial ladder 1, X, ..., X^{2j} under
-    <f, g> = sum_n weight(n) f(n) g(n) and return (multiplier * Phi_m, min_beta).
+    <f, g> = sum_n a(n)^2 f(n) g(n) for the amplitude a, and return
+    (Q, min_beta) with column k of Q the ladder function a * Phi_k.
 
-    Lanczos (Stieltjes) on diag(n) from q_0 = sqrt(weight)/||sqrt(weight)||,
-    with full reorthogonalization (two classical Gram-Schmidt passes), gives
-    q_k = sqrt(weight) Phi_k (Gragg & Harrod, Numer. Math. 44, 1984).  Each
-    beta_k > 0, so every Phi_k has a positive leading coefficient.  A
-    non-finite weight or multiplier, or a negative or vanishing weight,
-    raises ``ValueError``, and so does a run where beta_k / j falls below
-    1e-10: the Krylov space has collapsed under the weight and the ladder
-    would be noise.
-    ``min_beta`` is min_k beta_k / j.
+    Lanczos (Stieltjes) on diag(n) from q_0 = a/||a||, with full
+    reorthogonalization (two classical Gram-Schmidt passes), gives
+    q_k = a Phi_k (Gragg & Harrod, Numer. Math. 44, 1984).  The weight a^2,
+    which underflows long before a does, is never formed, and a may carry a
+    sign.  Each beta_k > 0, so every Phi_k has a positive leading
+    coefficient.  A non-finite amplitude, or one that vanishes somewhere,
+    raises ``ValueError``, and so does a Krylov breakdown, beta_k / j < 1e-10,
+    where the ladder would be noise.  ``min_beta`` is min_k beta_k / j.
     """
-    w = np.asarray(weight, dtype=float)
-    mult = np.asarray(multiplier, dtype=float)
+    a = np.asarray(amplitude, dtype=float)
     d, j = dim.d, dim.j
-    if w.shape != (d,) or mult.shape != (d,):
-        raise ValueError(f"weight and multiplier must have {d} entries")
-    for name, values in (("weight", w), ("multiplier", mult)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
-    if np.any(w < 0):
-        raise ValueError("weight must be non-negative")
-    zeros = np.flatnonzero(w == 0.0)
+    if a.shape != (d,):
+        raise ValueError(f"amplitude must have {d} entries")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("amplitude must be finite")
+    zeros = np.flatnonzero(a == 0.0)
     if zeros.size:
         labels = [int(z) - j for z in zeros]
-        raise ValueError(f"weight vanishes at n = {labels}; the inner product is degenerate")
+        raise ValueError(f"amplitude vanishes at n = {labels}; the inner product is degenerate")
 
     x = dim.indices().astype(float)
-    root = np.sqrt(w)
     Q = np.empty((d, d))
-    Q[:, 0] = root / np.linalg.norm(root)
+    Q[:, 0] = a / np.linalg.norm(a)
     betas = np.empty(d - 1)
     for k in range(1, d):
         v = x * Q[:, k - 1]
@@ -359,7 +352,7 @@ def orthonormal_functions_for_weight(
                 f"(< {_BREAKDOWN:.0e})"
             )
         Q[:, k] = v / betas[k - 1]
-    return [mult / root * q for q in Q.T], float(betas.min()) / j
+    return Q, float(betas.min()) / j
 
 
 def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOscillator:
@@ -367,8 +360,7 @@ def gram_schmidt_oscillator(dim: GridDim, family: Family | int) -> GramSchmidtOs
     orthonormal under the weight G_i^2, and H = sum (j+m+1/2) |phi_m><phi_m|."""
     fam = Family.from_label(f"g{family}") if isinstance(family, int) else family
     G = normalized_gaussian(dim, fam).values.real
-    funcs, min_beta = orthonormal_functions_for_weight(dim, G * G, G)
-    Phi = np.column_stack(funcs)
+    Phi, min_beta = orthonormal_functions_for_weight(dim, G)
     H = (Phi * (np.arange(dim.d) + 0.5)) @ Phi.T  # level j + m + 1/2 on column m + j
     H = _adopt(LinearOperator, dim, H.astype(complex))
     return _adopt(GramSchmidtOscillator, dim, fam, Phi.astype(complex), H, min_beta)
@@ -382,8 +374,8 @@ def kravchuk_functions_via_orthonormalization(dim: GridDim) -> tuple[GridFunctio
     the positive-leading Gram-Schmidt output is sign-flipped accordingly.
     """
     g4 = gaussian(dim, Family.G4).values.real
-    funcs, _ = orthonormal_functions_for_weight(dim, g4, np.sqrt(g4))
-    rows = np.array(funcs, dtype=complex)
+    Q, _ = orthonormal_functions_for_weight(dim, np.sqrt(g4))
+    rows = Q.T.astype(complex, order="C")
     rows[1::2] *= -1
     return _views(dim, rows)
 

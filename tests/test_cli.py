@@ -606,6 +606,11 @@ class TestKravchukTableCommand:
         assert main(["kravchuk-table", "--dim", str(d), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_refused_past_the_float64_range(self, capsys):
+        code, out, err = run_cli(capsys, "kravchuk-table", "--dim", "1031")
+        assert (code, out) == (2, "")
+        assert err == "error: Kravchuk values at d = 1031 reach C(1030, 515) >= 2^1024, past the float64 range\n"
+
 
 def one_thread_digest(tmp_path, argv):
     """sha256 of the file ``finosc *argv --out FILE`` writes in a fresh process
@@ -649,6 +654,22 @@ class TestWignerBytes:
     def test_g4_golden_at_one_blas_thread(self, tmp_path):
         digest = "395847e35dbb2f15d892732d0174dda49e947100750df024dc07533fb1347431"
         assert one_thread_digest(tmp_path, ["wigner", "--family", "g4", "--dim", "201"]) == digest
+
+
+class TestGramSchmidtSpectrumBytes:
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("g1", "5845010a5988548ea1809d7f904406e1245be71f0511ed0fb245503f524aa032"),
+            ("g2", "9900cb1b369676210b7afb53c03e45606646bc5b83b54351b4a26dd9fe5a1e56"),
+            ("g3", "8cd1604a20b03e48343be40f0fff1aa8da03251fb80d7f65a51570bab145fd81"),
+            ("g4", "1cf4a13f204f9f49c9bac5cb626f2917996f635679408ef949d2b3858567fff8"),
+        ],
+    )
+    def test_golden_at_one_blas_thread(self, tmp_path, family, digest):
+        # the eigenvalues of the Lanczos ladder built from G; its trailing digits follow the Lanczos start
+        argv = ["spectrum", "--kind", "gramschmidt", "--family", family, "--dim", "201"]
+        assert one_thread_digest(tmp_path, argv) == digest
 
 
 class TestFrameCheckBytes:

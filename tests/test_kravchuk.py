@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +20,7 @@ from finosc.checks import (
     _ladder_oscillator_algebra,
     _su2_commutators,
 )
-from finosc.grid import GridDim, LinearOperator
+from finosc.grid import GridDim, InputError, LinearOperator
 from finosc.kravchuk import (
     KravchukTable,
     Su2Generators,
@@ -99,6 +100,37 @@ class TestTable:
         # bits, not values: -0.0 == 0.0, but the CSV writes -0 for it
         assert np.array_equal(t.poly.view(np.int64), poly.view(np.int64))
         assert np.array_equal(t.func.view(np.int64), func.view(np.int64))
+
+    @pytest.mark.parametrize("d", [541, 1029])
+    def test_orthonormal_where_the_weight_ratio_underflows(self, d):
+        # C(2j, j+n) / (C(2j, j+m) 4^j) is subnormal from d = 515 and 0.0 later;
+        # with the 2^-j on K_m(n) every factor stays normal up to d = 1029
+        dim = GridDim.from_size(d)
+        j = dim.j
+        t = kravchuk_table.__wrapped__(dim)
+        assert np.max(np.abs(t.func @ t.func.T - np.eye(d))) < 1e-13
+        edge = [-j, 1 - j, -1, 0, 1, j - 1, j]
+        rng = random.Random(d)
+        pairs = [(m, n) for m in edge for n in edge]
+        pairs += [(rng.randint(-j, j), rng.randint(-j, j)) for _ in range(30)]
+        table = np.array([t.function(m, n) for m, n in pairs])
+        scalar = np.array([kravchuk_function(dim, m, n) for m, n in pairs])
+        assert np.array_equal(table.view(np.int64), scalar.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            kravchuk_table,
+            lambda dim: kravchuk_polynomial(dim, 0, 0),
+            lambda dim: kravchuk_function(dim, 0, 0),
+            lambda dim: kravchuk_function_hypergeometric(dim, 0, 0),
+        ],
+        ids=["table", "polynomial", "function", "hypergeometric"],
+    )
+    def test_refused_past_the_float64_range(self, route):
+        # max |K_m(n)| <= C(2j, j), which first reaches 2^1024 at d = 1031
+        with pytest.raises(InputError, match=r"^Kravchuk values at d = 1031 reach C\(1030, 515\) >= 2\^1024"):
+            route(GridDim.from_size(1031))
 
     def test_read_only_and_cached(self, d7):
         t = kravchuk_table(d7)
