@@ -11,7 +11,6 @@ from .grid import (
     GridDim,
     GridFunction,
     InputError,
-    JacobiConfig,
     LinearOperator,
     SpectralDecomposition,
     convolve,

@@ -694,7 +694,11 @@ def _check_goldens_d3() -> list[CheckResult]:
 
 
 def run_checks(dim: GridDim) -> list[CheckResult]:
-    """Run every check at the given dimension; d = 3 adds the radical tables."""
+    """Run every check at the given dimension; d = 3 adds the radical tables.
+
+    A grid past the Kravchuk float64 range raises ``InputError`` before any
+    check runs."""
+    kravchuk._check_grid(dim)
     results = []
     results += _check_fourier_algebra(dim)
     results += _check_eigensolver(dim)

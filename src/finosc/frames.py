@@ -29,8 +29,6 @@ from .grid import (
     GridDim,
     GridFunction,
     InputError,
-    JacobiConfig,
-    DEFAULT_JACOBI,
     LinearOperator,
     hermitian_eigenvalues,
 )
@@ -284,11 +282,7 @@ class FrameDiagnostics:
     weight_sum: float
 
 
-def frame_analyze(
-    vectors,
-    tol: float = 1e-10,
-    config: JacobiConfig = DEFAULT_JACOBI,
-) -> FrameDiagnostics:
+def frame_analyze(vectors, tol: float = 1e-10) -> FrameDiagnostics:
     """Classify a vector system by the spectrum of its frame operator.
 
     ``vectors`` is an (N, d) array with one vector per row, a sequence of
@@ -298,8 +292,9 @@ def frame_analyze(
     most ``tol``.  When tight with common bound 1, S is checked against the
     identity and kappa_i = ||w_i||^2 are summed; an array or a sequence also
     gets its FiniteFrame, on new unit rows.  A family's S is the diagonal
-    ``_walnut_diagonal``, read without its rows or an eigensolve.  A ``tol``
-    that is not positive raises ``InputError``.
+    ``_walnut_diagonal``, read without its rows or an eigensolve; any other
+    S goes through ``hermitian_eigenvalues``.  A ``tol`` that is not positive
+    raises ``InputError``.
     """
     _check_tolerance(tol)
     if isinstance(vectors, CoherentFamily):
@@ -312,7 +307,7 @@ def frame_analyze(
         S, norms = _frame_sums(W, None)
         if np.any(norms == 0.0):
             raise ValueError("frame vectors must be non-null")
-        eigs = hermitian_eigenvalues(_adopt(LinearOperator, dim, S), config)
+        eigs = hermitian_eigenvalues(_adopt(LinearOperator, dim, S))
         # kappa_i |u_i><u_i| = |w_i><w_i|, so S is the unit rows' resolution
         weights = norms * norms
     lower = float(eigs.min())

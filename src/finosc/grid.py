@@ -28,7 +28,6 @@ __all__ = [
     "GridFunction",
     "LinearOperator",
     "SpectralDecomposition",
-    "JacobiConfig",
     "ConvergenceError",
     "InputError",
     "inner_product",
@@ -360,20 +359,10 @@ class _SeededDraws:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobiConfig:
-    """Settings for the Hermitian eigensolver (LAPACK ``numpy.linalg.eigh``).
-
-    ``hermiticity_tol`` bounds the largest entry of M - M^+ that the solver
-    accepts; ``degeneracy_gap`` is the eigenvalue gap below which neighbours
-    form one cluster, re-orthonormalized in index order.
-    """
-
-    hermiticity_tol: float = 1e-10
-    degeneracy_gap: float = 1e-10
-
-
-DEFAULT_JACOBI = JacobiConfig()
+# the largest entry of M - M^+ that the solver accepts, and the eigenvalue gap
+# below which neighbours form one cluster, re-orthonormalized in index order
+_HERMITICITY_TOL = 1e-10
+_DEGENERACY_GAP = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -433,7 +422,7 @@ def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
     return v * (np.conj(entry) / np.abs(entry))
 
 
-def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
+def _sorted_eigenpairs(M: LinearOperator):
     """Validate, symmetrize and solve: the Hermitian working copy, its
     Frobenius norm and the eigenvalues in LAPACK's ascending order with their
     eigenvectors as columns.  The zero matrix gives norm 0 and the identity."""
@@ -441,7 +430,7 @@ def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
     A = M.matrix
     if not np.all(np.isfinite(A)):
         raise ValueError("operator has non-finite entries")
-    if np.max(np.abs(A - A.conj().T)) > config.hermiticity_tol:
+    if np.max(np.abs(A - A.conj().T)) > _HERMITICITY_TOL:
         raise ValueError("operator is not Hermitian within tolerance")
     A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
 
@@ -458,37 +447,35 @@ def _sorted_eigenpairs(M: LinearOperator, config: JacobiConfig):
     return A, norm, vals, np.asfortranarray(V)
 
 
-def hermitian_eigenvalues(M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI) -> np.ndarray:
+def hermitian_eigenvalues(M: LinearOperator) -> np.ndarray:
     """The ascending eigenvalues of a Hermitian operator, exactly those of
-    ``eigendecompose_hermitian(M, config)``, with the same errors; the
-    eigenvector convention and the residual are not computed."""
-    return _sorted_eigenpairs(M, config)[2]
+    ``eigendecompose_hermitian(M)``, with the same errors; the eigenvector
+    convention and the residual are not computed."""
+    return _sorted_eigenpairs(M)[2]
 
 
-def eigendecompose_hermitian(
-    M: LinearOperator, config: JacobiConfig = DEFAULT_JACOBI
-) -> SpectralDecomposition:
+def eigendecompose_hermitian(M: LinearOperator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator with a deterministic eigenvector convention.
 
     The eigenpairs come from LAPACK (``numpy.linalg.eigh``); its failure
     raises ``ConvergenceError``.  The convention: eigenvalues ascend (LAPACK's
-    order), eigenvectors within a degenerate cluster (gap below
-    ``config.degeneracy_gap``) are re-orthonormalized by modified
-    Gram-Schmidt in index order, and each eigenvector carries the phase that
-    makes its largest-magnitude entry real and positive.  Non-finite or
-    non-Hermitian input raises ``ValueError``.  ``hermitian_eigenvalues``
-    gives the eigenvalues alone.
+    order), eigenvectors within a degenerate cluster (gap below 1e-10) are
+    re-orthonormalized by modified Gram-Schmidt in index order, and each
+    eigenvector carries the phase that makes its largest-magnitude entry real
+    and positive.  Non-finite input, or input whose largest entry of M - M^+
+    exceeds 1e-10, raises ``ValueError``.  ``hermitian_eigenvalues`` gives
+    the eigenvalues alone.
     """
     dim = M.dim
     d = dim.d
-    A, norm, vals, V = _sorted_eigenpairs(M, config)
+    A, norm, vals, V = _sorted_eigenpairs(M)
     if norm == 0.0:
         return _adopt(SpectralDecomposition, dim, vals, V, 0.0)
 
     # re-orthonormalize degenerate clusters in index order
     start = 0
     for k in range(1, d + 1):
-        if k == d or vals[k] - vals[k - 1] >= config.degeneracy_gap:
+        if k == d or vals[k] - vals[k - 1] >= _DEGENERACY_GAP:
             if k - start > 1:
                 for a in range(start, k):
                     v = V[:, a]
@@ -502,13 +489,12 @@ def eigendecompose_hermitian(
     return _adopt(SpectralDecomposition, dim, vals, V, residual)
 
 
-def operator_exponential(
-    M: LinearOperator, scale: complex, config: JacobiConfig = DEFAULT_JACOBI
-) -> LinearOperator:
-    """exp(scale * M) for Hermitian M, via the spectral decomposition.
+def operator_exponential(M: LinearOperator, scale: complex) -> LinearOperator:
+    """exp(scale * M) for Hermitian M, via ``eigendecompose_hermitian``,
+    with its errors.
 
     Unitary whenever ``scale`` is purely imaginary.
     """
-    dec = eigendecompose_hermitian(M, config)
+    dec = eigendecompose_hermitian(M)
     V = dec.columns
     return _adopt(LinearOperator, M.dim, (V * np.exp(scale * dec.eigenvalues)) @ V.conj().T)

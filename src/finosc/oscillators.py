@@ -21,17 +21,15 @@ import numpy as np
 from .frames import coherent_family, quantize, schwinger
 from .gaussians import Family, gaussian, normalized_gaussian
 from .grid import (
-    DEFAULT_JACOBI,
     GridDim,
     GridFunction,
     InputError,
-    JacobiConfig,
     LinearOperator,
     SpectralDecomposition,
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _adopt, _assign, _check_tolerance, _readonly_copy, _stack, _views
+from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _readonly_copy, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -123,22 +121,18 @@ def _check_deformation(alpha: float) -> float:
     return float(alpha)
 
 
-def deformed_fourier_hamiltonian(
-    dim: GridDim, alpha: float, config: JacobiConfig = DEFAULT_JACOBI
-) -> LinearOperator:
+def deformed_fourier_hamiltonian(dim: GridDim, alpha: float) -> LinearOperator:
     """H = (1/2) F^{-alpha} Q^2 F^{alpha} + (1/2) Q^2 with the fractional transform."""
     alpha = _check_deformation(alpha)
-    Fa = fractional_fourier(dim, alpha, config)
+    Fa = fractional_fourier(dim, alpha)
     Q2 = position_squared(dim)
     return _symmetrized(0.5 * (Fa.adjoint() @ Q2 @ Fa) + 0.5 * Q2)
 
 
-def deformed_harper_hamiltonian(
-    dim: GridDim, alpha: float, config: JacobiConfig = DEFAULT_JACOBI
-) -> LinearOperator:
+def deformed_harper_hamiltonian(dim: GridDim, alpha: float) -> LinearOperator:
     """H = (1/2) P^2 + (1/2) F^{alpha} P^2 F^{-alpha} with the fractional transform."""
     alpha = _check_deformation(alpha)
-    Fa = fractional_fourier(dim, alpha, config)
+    Fa = fractional_fourier(dim, alpha)
     P2 = difference_momentum_squared(dim)
     return _symmetrized(0.5 * P2 + 0.5 * (Fa @ P2 @ Fa.adjoint()))
 
@@ -231,7 +225,7 @@ class HarperBasis:
 
 
 @lru_cache(maxsize=_LADDER_CACHE_SIZE)
-def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperBasis:
+def harper_basis(dim: GridDim) -> HarperBasis:
     """Diagonalize the Harper oscillator and label eigenvectors by Fourier class.
 
     H commutes with F, so each eigenvector of a simple spectrum lies in one
@@ -239,15 +233,17 @@ def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperB
     The k-th lowest energy in class r gets label n = 4k + r (Candan, Kutay &
     Ozaktas, IEEE TSP 48, 2000).  The residual F h_n = (-i)^n h_n certifies
     the labelling; it can only fail when two eigenvalues of different classes
-    are too close to be separated, so it raises ``DegenerateSpectrumError``.
+    are too close to be separated, so it raises ``DegenerateSpectrumError``,
+    as does a gap below the eigensolver's degeneracy gap (1e-10).  The basis
+    is cached per grid, so each grid costs one eigensolve.
     """
-    dec = eigendecompose_hermitian(harper_hamiltonian(dim), config)
+    dec = eigendecompose_hermitian(harper_hamiltonian(dim))
     gaps = np.diff(dec.eigenvalues)
-    if np.any(gaps < config.degeneracy_gap):
+    if np.any(gaps < _DEGENERACY_GAP):
         k = int(np.argmin(gaps))
         raise DegenerateSpectrumError(
             f"Harper eigenvalues {k} and {k + 1} differ by {gaps[k]:.3e} "
-            f"(< {config.degeneracy_gap:.1e}) at {dim}"
+            f"(< {_DEGENERACY_GAP:.1e}) at {dim}"
         )
     F = fourier_operator(dim)
     V = dec.columns
@@ -268,15 +264,14 @@ def harper_basis(dim: GridDim, config: JacobiConfig = DEFAULT_JACOBI) -> HarperB
     return _adopt(HarperBasis, dim, np.take(V, order, axis=1), energies, phases, consistent)
 
 
-def fractional_fourier(
-    dim: GridDim, alpha: float, config: JacobiConfig = DEFAULT_JACOBI
-) -> LinearOperator:
+def fractional_fourier(dim: GridDim, alpha: float) -> LinearOperator:
     """F^alpha = sum_n e^{-i pi n alpha / 2} |h_n><h_n| over the Harper basis.
 
     The exponent branch e^{-i pi n alpha/2} is continuous in alpha and matches
     (-i)^n at integers; F^0 is the identity and F^1 the Fourier transform.
+    The Harper basis is the grid's cached ``harper_basis(dim)``.
     """
-    V = harper_basis(dim, config).columns
+    V = harper_basis(dim).columns
     w = np.exp(-0.5j * np.pi * np.arange(dim.d) * alpha)
     return _adopt(LinearOperator, dim, (V * w) @ V.conj().T)
 
@@ -334,8 +329,10 @@ def orthonormal_functions_for_weight(dim: GridDim, amplitude: np.ndarray) -> tup
         raise ValueError("amplitude must be finite")
     zeros = np.flatnonzero(a == 0.0)
     if zeros.size:
-        labels = [int(z) - j for z in zeros]
-        raise ValueError(f"amplitude vanishes at n = {labels}; the inner product is degenerate")
+        # each run of consecutive labels as a..b, so the message stays short
+        runs = np.split(zeros - j, np.flatnonzero(np.diff(zeros) > 1) + 1)
+        labels = ", ".join(f"{r[0]}..{r[-1]}" if r.size > 1 else f"{r[0]}" for r in runs)
+        raise ValueError(f"amplitude vanishes at n = [{labels}]; the inner product is degenerate")
 
     x = dim.indices().astype(float)
     Q = np.empty((d, d))
@@ -392,11 +389,10 @@ def evolve_spectral(dec: SpectralDecomposition, psi: GridFunction, t: float) -> 
     return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
 
 
-def evolve(
-    H: LinearOperator, psi: GridFunction, t: float, config: JacobiConfig = DEFAULT_JACOBI
-) -> GridFunction:
-    """e^{-i t H} psi for Hermitian H; preserves the norm."""
-    return evolve_spectral(eigendecompose_hermitian(H, config), psi, t)
+def evolve(H: LinearOperator, psi: GridFunction, t: float) -> GridFunction:
+    """e^{-i t H} psi for Hermitian H, by ``eigendecompose_hermitian``;
+    preserves the norm."""
+    return evolve_spectral(eigendecompose_hermitian(H), psi, t)
 
 
 @dataclass(frozen=True)

@@ -529,6 +529,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "odd" in err
 
+    def test_refused_past_the_float64_range_before_any_check(self, capsys, monkeypatch):
+        def reached(dim):
+            raise AssertionError("a check ran on a grid past the Kravchuk range")
+
+        monkeypatch.setattr(checks, "_check_fourier_algebra", reached)
+        code, out, err = run_cli(capsys, "verify", "--dim", "1031")
+        assert (code, out) == (2, "")
+        assert err == "error: Kravchuk values at d = 1031 reach C(1030, 515) >= 2^1024, past the float64 range\n"
+
 
 class TestRevivalCommand:
     def test_ladder_progression(self, capsys):

@@ -11,7 +11,6 @@ from finosc.grid import (
     GridDim,
     GridFunction,
     InputError,
-    JacobiConfig,
     LinearOperator,
     SpectralDecomposition,
     canonical_phase,
@@ -45,7 +44,6 @@ from finosc.wigner import wigner_product_decomposition
 from conftest import rand_state
 
 odd_dims = st.integers(min_value=1, max_value=12).map(lambda j: GridDim(j))
-LAPACK = JacobiConfig()  # the one solver, numpy.linalg.eigh, at its default settings
 
 
 class TestGridDim:
@@ -403,32 +401,27 @@ class TestEigendecomposition:
         with pytest.raises(ConvergenceError, match="LAPACK"):
             eigendecompose_hermitian(LinearOperator.diagonal(d3, [1.0, 2.0, 3.0]))
 
-    def test_rejects_unknown_method(self):
-        # LAPACK is the one solver, so the config holds only the two settings
-        # it uses, and a Jacobi option (method, off_tol, max_sweeps) is refused
-        assert list(JacobiConfig.__dataclass_fields__) == ["hermiticity_tol", "degeneracy_gap"]
-        for removed in ({"method": "jacobi"}, {"method": "lapack"}, {"off_tol": 1e-14}, {"max_sweeps": 100}):
-            with pytest.raises(TypeError):
-                JacobiConfig(**removed)
+    def test_takes_no_settings(self, d3):
+        # the two tolerances are module constants, so a second argument is refused
+        with pytest.raises(TypeError):
+            eigendecompose_hermitian(LinearOperator.identity(d3), None)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
-    @pytest.mark.parametrize("config", [LAPACK], ids=["lapack"])
-    def test_rejects_non_finite_entries(self, d3, bad, config):
+    def test_rejects_non_finite_entries(self, d3, bad):
         m = np.eye(3, dtype=complex)
         m[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            eigendecompose_hermitian(LinearOperator(d3, m), config)
+            eigendecompose_hermitian(LinearOperator(d3, m))
 
     def test_zero_matrix(self, d3):
         dec = eigendecompose_hermitian(LinearOperator(d3, np.zeros((3, 3))))
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
         assert dec.residual == 0.0
 
-    @pytest.mark.parametrize("config", [LAPACK], ids=["lapack"])
-    def test_residual_is_relative_to_the_norm(self, d7, config):
+    def test_residual_is_relative_to_the_norm(self, d7):
         M = random_hermitian(d7, 3)
         for scale in (1e-8, 1.0, 1e8):
-            dec = eigendecompose_hermitian(M * scale, config)
+            dec = eigendecompose_hermitian(M * scale)
             assert 0.0 < dec.residual <= 1e-12
 
     def test_residual_defaults_to_nan(self, d3):
@@ -523,7 +516,7 @@ def loop_eigendecompose(M, jacobi=False):
     vals, V = vals[order], V[:, order]
     start = 0
     for k in range(1, d + 1):
-        if k == d or vals[k] - vals[k - 1] >= LAPACK.degeneracy_gap:
+        if k == d or vals[k] - vals[k - 1] >= grid._DEGENERACY_GAP:
             if k - start > 1:
                 for a in range(start, k):
                     v = V[:, a]
@@ -542,7 +535,7 @@ def assert_lapack_matches_jacobi(M: LinearOperator) -> tuple[SpectralDecompositi
     vals, Vj = loop_eigendecompose(M, jacobi=True)
     scale = M.frobenius_norm()
     assert np.max(np.abs(lapack.eigenvalues - vals)) <= 1e-12 * scale
-    cuts = [0] + [k for k in range(1, len(vals)) if vals[k] - vals[k - 1] >= LAPACK.degeneracy_gap]
+    cuts = [0] + [k for k in range(1, len(vals)) if vals[k] - vals[k - 1] >= grid._DEGENERACY_GAP]
     Vl = lapack.vector_matrix()
     for a, b in zip(cuts, cuts[1:] + [len(vals)]):
         Pl = Vl[:, a:b] @ Vl[:, a:b].conj().T
@@ -652,14 +645,13 @@ class TestEigenvaluesOnly:
         assert np.array_equal(got, np.zeros(3)) and got.dtype == float
 
     @pytest.mark.parametrize("solve", [eigendecompose_hermitian, hermitian_eigenvalues])
-    @pytest.mark.parametrize("config", [LAPACK], ids=["lapack"])
-    def test_same_errors(self, d3, solve, config, monkeypatch):
+    def test_same_errors(self, d3, solve, monkeypatch):
         bad = np.eye(3, dtype=complex)
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="^operator has non-finite entries$"):
-            solve(LinearOperator(d3, bad), config)
+            solve(LinearOperator(d3, bad))
         with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
-            solve(LinearOperator(d3, np.triu(np.ones((3, 3)))), config)
+            solve(LinearOperator(d3, np.triu(np.ones((3, 3)))))
 
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

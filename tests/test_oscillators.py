@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finosc import oscillators
+from finosc import checks, oscillators
 from finosc.gaussians import Family, gaussian, normalized_gaussian
 from finosc.grid import (
     GridDim,
@@ -188,6 +188,12 @@ class TestHarperBasis:
         V = np.column_stack([h.values for h in basis.functions])
         assert np.max(np.abs(V.conj().T @ V - np.eye(d15.d))) < 1e-10
 
+    def test_one_eigensolve_per_grid(self):
+        # the checks and fractional_fourier share one cached basis per grid
+        harper_basis.cache_clear()
+        checks._check_oscillators(GridDim.from_size(37))
+        assert harper_basis.cache_info().misses == 1
+
     @pytest.mark.parametrize("d", list(range(3, 33, 2)))
     def test_no_degeneracies_through_d31(self, d):
         harper_basis(GridDim.from_size(d))  # raises DegenerateSpectrumError on failure
@@ -280,6 +286,11 @@ class TestGramSchmidt:
         # G1 at d = 949 is 0.0 in float64 at n = +-474 and nowhere else
         with pytest.raises(ValueError, match=r"^amplitude vanishes at n = \[-474, 474\]; "):
             gram_schmidt_oscillator(GridDim.from_size(949), Family.G1)
+
+    def test_runs_of_zero_labels_are_named_by_their_ends(self):
+        # G5 at d = 601 is 0.0 in float64 on the 112 labels 245 <= |n| <= 300
+        with pytest.raises(ValueError, match=r"^amplitude vanishes at n = \[-300\.\.-245, 245\.\.300\]; "):
+            gram_schmidt_oscillator(GridDim.from_size(601), Family.G5)
 
     def test_signed_amplitude_flips_the_ladder_exactly(self, d15):
         # a sign pattern s commutes with diag(n), so Lanczos from s*a is s times Lanczos from a
