@@ -2,13 +2,13 @@
 oscillator spectra, revival analyses and the identity-check suite.
 
 Subcommands: gaussian, wigner, spectrum, verify, revival, kravchuk-table,
-frame-check.  Every flag is checked, and --dim, --family, --tol and --out
+frame-check.  Every flag is checked, and --dim, --family and --out
 resolved, in the parsed namespace before any computation; each command reads
-its own flags from it.  Configuration precedence is flags > FINOSC_*
-environment variables > defaults.  Exit codes: 0 success, 1 computation or
-verification failure, 2 an InputError (an argument outside its domain),
-raised by the library's own input rules or by the few flags only the command
-line has.
+its own flags from it.  Output goes to --out, then to
+$FINOSC_OUT_DIR/<command>.<format>, then to stdout.  Exit codes: 0 success,
+1 computation or verification failure, 2 an InputError (an argument outside
+its domain, raised by the library's own input rules or by the few flags only
+the command line has) or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,22 +36,17 @@ __all__ = ["main"]
 def _check_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check every flag against the library's rules before any computation
     starts, and resolve the shared ones in place: ``dim`` to a GridDim,
-    ``family`` (where the subcommand has --family) to a Family or None,
-    ``tol`` to a float (flag, then FINOSC_TOL, then 1e-10) and ``out`` to a
-    Path or None (flag, then FINOSC_OUT_DIR).  Returns ``args``."""
+    ``family`` (where the subcommand has --family) to a Family or None and
+    ``out`` to a Path or None (flag, then FINOSC_OUT_DIR, with the --format
+    suffix, csv where the subcommand has none).  Returns ``args``."""
     opts = vars(args)
     args.dim = GridDim.from_size(args.dim)
     if "family" in opts:
         args.family = Family.from_label(args.family) if args.family else None
     # a kappa is vetted even where --state delta0 ignores it, as a theta family's
     _check_kappa(opts.get("family") or Family.G1, opts.get("kappa"))
-    if args.tol is None:
-        raw = os.environ.get("FINOSC_TOL", "1e-10")
-        try:
-            args.tol = float(raw)
-        except ValueError:
-            raise InputError(f"environment variable FINOSC_TOL is not a number: {raw!r}") from None
-    _check_tolerance(args.tol)
+    if "tol" in opts:
+        _check_tolerance(args.tol)
     if opts.get("kind") is not None:
         _check_kind(args.kind, args.family, args.alpha)
     if opts.get("min_len") is not None:
@@ -63,7 +58,8 @@ def _check_args(args: argparse.Namespace) -> argparse.Namespace:
     if args.out is not None:
         args.out = Path(args.out)
     elif os.environ.get("FINOSC_OUT_DIR"):
-        args.out = Path(os.environ["FINOSC_OUT_DIR"]) / f"{args.command.replace('-', '_')}.csv"
+        name = f"{args.command.replace('-', '_')}.{opts.get('format', 'csv')}"
+        args.out = Path(os.environ["FINOSC_OUT_DIR"]) / name
     return args
 
 
@@ -310,16 +306,9 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, svg_ok: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, required=True, help="odd grid size d >= 3")
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout or FINOSC_OUT_DIR)")
-    p.add_argument(
-        "--format",
-        choices=("csv", "svg") if svg_ok else ("csv",),
-        default="csv",
-        dest="format",
-    )
-    p.add_argument("--tol", type=float, default=None, help="tolerance (default FINOSC_TOL or 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
 
     p = sub.add_parser("verify", help="run the identity-check suite")
-    _add_common(p, svg_ok=False)
+    _add_common(p)
 
     p = sub.add_parser("revival", help="equal-gap progressions and a fidelity trace")
     _add_common(p)
@@ -357,12 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
 
     p = sub.add_parser("kravchuk-table", help="polynomial and function tables as m,n,poly,func")
-    _add_common(p, svg_ok=False)
+    _add_common(p)
 
     p = sub.add_parser("frame-check", help="frame bounds of the scaled coherent family")
-    _add_common(p, svg_ok=False)
+    _add_common(p)
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
 
+    for name in ("gaussian", "wigner", "spectrum", "revival"):
+        sub.choices[name].add_argument("--format", choices=("csv", "svg"), default="csv")
+    for name in ("revival", "frame-check"):
+        sub.choices[name].add_argument("--tol", type=float, default=1e-10, help="tolerance (default 1e-10)")
     return parser
 
 
@@ -383,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the library does no file I/O: only the output can fail
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

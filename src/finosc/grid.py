@@ -161,8 +161,9 @@ class GridFunction:
         """The parity image n -> value(-n)."""
         return _adopt(GridFunction, self.dim, self.values[::-1])
 
-    def is_even(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values - self.values[::-1])) <= tol)
+    def is_even(self) -> bool:
+        """True iff no value differs from its parity image by more than 1e-12."""
+        return bool(np.max(np.abs(self.values - self.values[::-1])) <= 1e-12)
 
     def conjugated(self) -> "GridFunction":
         return _adopt(GridFunction, self.dim, np.conj(self.values))
@@ -229,8 +230,9 @@ class LinearOperator:
     def adjoint(self) -> "LinearOperator":
         return _adopt(LinearOperator, self.dim, np.conjugate(self.matrix.T, order="C"))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        """True iff no entry of M - M^+ exceeds 1e-10, the eigensolver's bound."""
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= _HERMITICITY_TOL)
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -406,18 +408,18 @@ class SpectralDecomposition:
         return _adopt(LinearOperator, self.dim, (V * self.eigenvalues) @ V.conj().T)
 
 
-def canonical_phase(v: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
+def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Multiply by the unit phase making the largest-magnitude entry real positive.
 
     ``v`` is one vector or a (d, k) array whose k columns are phased each on
-    its own, in one pass.  Ties (entries within tie_tol relative of the
+    its own, in one pass.  Ties (entries within 1e-9 relative of the
     maximum) break toward the lowest index, so vectors with symmetric entries
     get a stable sign even when roundoff perturbs which entry is formally
     largest.  A zero vector (column) is left as it is.
     """
     mags = np.abs(v)
     top = mags.max(axis=0)
-    pivot = np.expand_dims(np.argmax(mags >= top * (1.0 - tie_tol), axis=0), 0)
+    pivot = np.expand_dims(np.argmax(mags >= top * (1.0 - 1e-9), axis=0), 0)
     entry = np.where(top == 0.0, 1.0, np.take_along_axis(v, pivot, 0)[0])
     return v * (np.conj(entry) / np.abs(entry))
 
@@ -430,7 +432,7 @@ def _sorted_eigenpairs(M: LinearOperator):
     A = M.matrix
     if not np.all(np.isfinite(A)):
         raise ValueError("operator has non-finite entries")
-    if np.max(np.abs(A - A.conj().T)) > _HERMITICITY_TOL:
+    if not M.is_hermitian():
         raise ValueError("operator is not Hermitian within tolerance")
     A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
 

@@ -111,7 +111,8 @@ def kravchuk_function_hypergeometric(dim: GridDim, m: int, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KravchukTable:
-    """All K_m(n) and curly-K_m(n) for one grid, indexed [m + j, n + j]."""
+    """All K_m(n) and curly-K_m(n) for one grid, indexed [m + j, n + j]; an
+    accessor refuses a label outside [-j, j] as the scalar routes do."""
 
     dim: GridDim
     poly: np.ndarray
@@ -123,15 +124,16 @@ class KravchukTable:
         object.__setattr__(self, "func", _readonly_copy(self.func, float, shape))
 
     def polynomial(self, m: int, n: int) -> float:
-        j = self.dim.j
-        return float(self.poly[m + j, n + j])
+        m, n = _check_grid(self.dim, m=m, n=n)
+        return float(self.poly[m + self.dim.j, n + self.dim.j])
 
     def function(self, m: int, n: int) -> float:
-        j = self.dim.j
-        return float(self.func[m + j, n + j])
+        m, n = _check_grid(self.dim, m=m, n=n)
+        return float(self.func[m + self.dim.j, n + self.dim.j])
 
     def function_row(self, m: int) -> GridFunction:
         """The basis vector curly-K_m as a grid function."""
+        (m,) = _check_grid(self.dim, m=m)
         return _adopt(GridFunction, self.dim, self.func[m + self.dim.j].astype(complex))
 
 

@@ -181,15 +181,15 @@ def hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def sign_alternations(values: np.ndarray, zero_tol: float = 1e-9) -> int:
+def sign_alternations(values: np.ndarray) -> int:
     """Number of adjacent strict sign flips, scanning n = -j..j.
 
-    Entries below ``zero_tol`` times the max magnitude count as exact zeros
+    Entries below 1e-9 times the max magnitude count as exact zeros
     and are skipped.  Harper eigenvectors have near-zero tails and parity
     zeros at n = 0 that must not produce spurious flips.
     """
     v = np.asarray(values, dtype=float)
-    cut = zero_tol * np.max(np.abs(v))
+    cut = 1e-9 * np.max(np.abs(v))
     signs = [x > 0 for x in v if abs(x) > cut]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -145,8 +146,8 @@ def mixed_table(d, seed):
     return t
 
 
-def usage_case(name, argv, *names, tol_env=None):
-    return pytest.param(argv.split(), tol_env, names, id=name)
+def usage_case(name, argv, *names):
+    return pytest.param(argv.split(), names, id=name)
 
 
 # Each exits 2 before any computation and names its rule in stderr.
@@ -187,13 +188,7 @@ USAGE_ERRORS = [
         "min",
         "at least 3",
     ),
-    usage_case("zero-tol", "spectrum --dim 3 --kind fourier --tol 0", "tolerance must be positive"),
-    usage_case(
-        "bad-env-tol",
-        "spectrum --dim 3 --kind fourier",
-        "FINOSC_TOL is not a number",
-        tol_env="not-a-number",
-    ),
+    usage_case("zero-tol", "revival --dim 3 --kind fourier --tol 0", "tolerance must be positive"),
     usage_case("wigner-without-state", "wigner --dim 7", "wigner requires --family or --state delta0"),
 ]
 
@@ -208,12 +203,6 @@ NUMERIC_USAGE_ERRORS = [
     ),
     usage_case(
         "nan-tol-revival", "revival --dim 9 --kind kravchuk --tol nan", "tolerance must be positive"
-    ),
-    usage_case(
-        "nan-env-tol",
-        "frame-check --dim 5 --family g4",
-        "tolerance must be positive",
-        tol_env="nan",
     ),
     usage_case(
         "negative-samples", "revival --dim 9 --kind kravchuk --samples -1", "--samples", "at least 1"
@@ -231,8 +220,8 @@ NUMERIC_USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv, tol_env, names", USAGE_ERRORS + NUMERIC_USAGE_ERRORS)
-def test_usage_errors_exit_2_before_computing(capsys, monkeypatch, argv, tol_env, names):
+@pytest.mark.parametrize("argv, names", USAGE_ERRORS + NUMERIC_USAGE_ERRORS)
+def test_usage_errors_exit_2_before_computing(capsys, monkeypatch, argv, names):
     def computed(*args, **kwargs):
         raise AssertionError("computation started before the flags were checked")
 
@@ -246,8 +235,6 @@ def test_usage_errors_exit_2_before_computing(capsys, monkeypatch, argv, tol_env
         (kravchuk, "kravchuk_table"),
     ]:
         monkeypatch.setattr(module, name, computed)
-    if tol_env is not None:
-        monkeypatch.setenv("FINOSC_TOL", tol_env)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
@@ -738,6 +725,53 @@ class TestParserReuse:
         assert builds == [1]
 
 
+class TestCommandSurface:
+    """Each subcommand's flags: --format where a command can write SVG, --tol
+    where a command reads a tolerance."""
+
+    FLAGS = {
+        "gaussian": ["--dim", "--family", "--format", "--kappa", "--out"],
+        "wigner": ["--dim", "--family", "--format", "--kappa", "--out", "--state"],
+        "spectrum": ["--alpha", "--dim", "--family", "--format", "--kind", "--out"],
+        "verify": ["--dim", "--out"],
+        "revival": [
+            "--alpha", "--dim", "--family", "--format", "--kind", "--min-len",
+            "--out", "--samples", "--seed", "--state", "--tol",
+        ],
+        "kravchuk-table": ["--dim", "--out"],
+        "frame-check": ["--dim", "--family", "--out", "--tol"],
+    }
+
+    def test_option_strings(self):
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        seen = {
+            name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+            for name, p in commands.choices.items()
+        }
+        assert seen == self.FLAGS
+        assert sum(map(len, seen.values())) == 36
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gaussian --dim 3 --family g4 --tol 1e-6",
+            "wigner --dim 3 --state delta0 --tol 1e-6",
+            "spectrum --dim 3 --kind fourier --tol 1e-6",
+            "verify --dim 3 --tol 0",
+            "kravchuk-table --dim 3 --tol 1e-6",
+            "verify --dim 3 --format csv",
+            "kravchuk-table --dim 3 --format csv",
+            "frame-check --dim 3 --family g4 --format csv",
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in captured.err
+
+
 class TestTraceContract:
     """The benchmark traces frames.frame_analyze and frames.quantize by
     replacing them, by identity, in every finosc module namespace; the
@@ -825,31 +859,58 @@ class TestOutputHandling:
     @pytest.mark.parametrize("command", list(CHECKED))
     def test_check_args_resolves_shared_flags(self, command, tmp_path, monkeypatch):
         extra, family = self.CHECKED[command]
+        has_tol = command in ("revival", "frame-check")
 
         def checked(*flags):
             return cli._check_args(cli._parser().parse_args([command, "--dim", "7", *extra, *flags]))
 
-        monkeypatch.delenv("FINOSC_TOL", raising=False)
         monkeypatch.delenv("FINOSC_OUT_DIR", raising=False)
         args = checked()
         assert args.dim == GridDim.from_size(7)
         assert vars(args).get("family", "absent") == family
-        assert type(args.tol) is float and args.tol == 1e-10
+        if has_tol:
+            assert type(args.tol) is float and args.tol == 1e-10
+        else:
+            assert "tol" not in vars(args)
         assert args.out is None
 
-        monkeypatch.setenv("FINOSC_TOL", "1e-6")
         monkeypatch.setenv("FINOSC_OUT_DIR", str(tmp_path))
         args = checked()
-        assert type(args.tol) is float and args.tol == 1e-6
         assert args.out == tmp_path / f"{command.replace('-', '_')}.csv"
 
-        args = checked("--tol", "1e-8", "--out", "x.csv")
-        assert args.tol == 1e-8 and args.out == Path("x.csv")
+        args = checked("--out", "x.csv", *(["--tol", "1e-8"] if has_tol else []))
+        assert args.out == Path("x.csv")
+        assert vars(args).get("tol", "absent") == (1e-8 if has_tol else "absent")
 
-    def test_bad_env_tol_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian", "--dim", "5", "--family", "g3", "--kappa", "0.7"],
+            ["revival", "--dim", "7", "--kind", "harper", "--samples", "5"],
+        ],
+        ids=["gaussian", "revival"],
+    )
+    def test_finosc_tol_is_ignored(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("FINOSC_TOL", raising=False)
+        unset = run_cli(capsys, *argv)
         monkeypatch.setenv("FINOSC_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "spectrum", "--dim", "3", "--kind", "fourier")
-        assert code == 2
+        assert run_cli(capsys, *argv) == unset and unset[0] == 0
+
+    def test_out_dir_env_takes_the_format_suffix(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FINOSC_OUT_DIR", str(tmp_path))
+        assert main(["gaussian", "--dim", "5", "--family", "g1", "--format", "svg"]) == 0
+        assert (tmp_path / "gaussian.svg").read_text().startswith("<svg")
+        assert not (tmp_path / "gaussian.csv").exists()
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["a-directory", "under-a-file"])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, under_a_file):
+        target = tmp_path
+        if under_a_file:
+            (tmp_path / "f").write_text("")
+            target = tmp_path / "f" / "out.csv"
+        reason = os.strerror(errno.EEXIST if under_a_file else errno.EISDIR)
+        code, out, err = run_cli(capsys, "gaussian", "--dim", "3", "--family", "g4", "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
 
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "g.svg"

@@ -38,9 +38,10 @@ from finosc.oscillators import (
     harper_basis,
     kravchuk_functions_via_orthonormalization,
     kravchuk_hamiltonian,
+    sign_alternations,
 )
 from finosc.kravchuk import kravchuk_function, kravchuk_function_hypergeometric, kravchuk_polynomial
-from finosc.wigner import wigner_product_decomposition
+from finosc.wigner import wigner, wigner_fourier_covariance_check, wigner_product_decomposition
 from conftest import rand_state
 
 odd_dims = st.integers(min_value=1, max_value=12).map(lambda j: GridDim(j))
@@ -405,6 +406,19 @@ class TestEigendecomposition:
         # the two tolerances are module constants, so a second argument is refused
         with pytest.raises(TypeError):
             eigendecompose_hermitian(LinearOperator.identity(d3), None)
+
+    @pytest.mark.parametrize("skew, accepted", [(1e-10, True), (1.5e-10, False)])
+    def test_one_hermiticity_rule(self, d3, skew, accepted):
+        # the solver refuses exactly the operators that is_hermitian rejects
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = skew
+        M = LinearOperator(d3, m)
+        assert M.is_hermitian() is accepted
+        if accepted:
+            eigendecompose_hermitian(M)
+        else:
+            with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
+                eigendecompose_hermitian(M)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_entries(self, d3, bad):
@@ -844,3 +858,22 @@ class TestSeededDraws:
         u = draws.uniforms(1000)
         assert u.min() >= 0.0 and u.max() < 1.0 and np.all(u * 2.0**53 == np.floor(u * 2.0**53))
         assert not np.array_equal(grid._SeededDraws(1).words(8), grid._SeededDraws(2).words(8))
+
+
+# each tolerance is a fixed value; the keyword that once set it is refused
+FIXED_TOLERANCES = {
+    "canonical_phase-tie_tol": lambda d: canonical_phase(np.ones(3, dtype=complex), tie_tol=1e-9),
+    "sign_alternations-zero_tol": lambda d: sign_alternations(np.ones(3), zero_tol=1e-9),
+    "wigner-imag_tol": lambda d: wigner(GridFunction.delta(d, 0), imag_tol=1e-12),
+    "wigner_fourier_covariance_check-tol": lambda d: wigner_fourier_covariance_check(
+        GridFunction.delta(d, 0), tol=1e-10
+    ),
+    "is_even-tol": lambda d: GridFunction.delta(d, 0).is_even(tol=1e-12),
+    "is_hermitian-tol": lambda d: LinearOperator.identity(d).is_hermitian(tol=1e-10),
+}
+
+
+@pytest.mark.parametrize("call", list(FIXED_TOLERANCES.values()), ids=list(FIXED_TOLERANCES))
+def test_removed_tolerance_keywords_raise_type_error(d3, call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call(d3)

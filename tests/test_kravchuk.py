@@ -132,6 +132,35 @@ class TestTable:
         with pytest.raises(InputError, match=r"^Kravchuk values at d = 1031 reach C\(1030, 515\) >= 2\^1024"):
             route(GridDim.from_size(1031))
 
+    @pytest.mark.parametrize("label", [-3, 3])
+    @pytest.mark.parametrize(
+        "accessor",
+        [
+            lambda t, k: t.polynomial(k, 0),
+            lambda t, k: t.polynomial(0, k),
+            lambda t, k: t.function(k, 0),
+            lambda t, k: t.function(0, k),
+            lambda t, k: t.function_row(k),
+        ],
+        ids=["polynomial-m", "polynomial-n", "function-m", "function-n", "function_row"],
+    )
+    def test_accessors_refuse_labels_off_the_grid(self, accessor, label):
+        # at d = 5 the labels -3 and 3 are -j-1 and j+1: refused as by the scalar
+        # routes, not wrapped by negative indexing or failing with an IndexError
+        dim = GridDim.from_size(5)
+        with pytest.raises(InputError, match=rf"^[mn]={label} outside the grid range \[-2, 2\]$"):
+            accessor(kravchuk_table(dim), label)
+        with pytest.raises(InputError, match=rf"^m={label} outside the grid range \[-2, 2\]$"):
+            kravchuk_polynomial(dim, label, 0)
+
+    def test_accessors_read_the_table(self, d7):
+        t = kravchuk_table(d7)
+        for m in d7.indices().tolist():
+            assert t.function_row(m).values.real.tolist() == t.func[m + d7.j].tolist()
+            for n in d7.indices().tolist():
+                assert t.polynomial(m, n) == t.poly[m + d7.j, n + d7.j]
+                assert t.function(m, n) == t.func[m + d7.j, n + d7.j]
+
     def test_read_only_and_cached(self, d7):
         t = kravchuk_table(d7)
         assert kravchuk_table(GridDim.from_size(7)) is t

@@ -88,7 +88,7 @@ class TestStructure:
             deformed_harper_hamiltonian(dim, 1.1),
         ]
         for H in ops:
-            assert H.is_hermitian(1e-10)
+            assert H.is_hermitian()
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_fourier_invariance(self, d):
@@ -132,12 +132,12 @@ class TestStructure:
 class TestSignAlternations:
     def test_simple_patterns(self):
         assert sign_alternations(np.array([1.0, 2.0, 1.0])) == 0
-        assert sign_alternations(np.array([-1.0, 0.0, 1.0]), zero_tol=1e-9) == 1
+        assert sign_alternations(np.array([-1.0, 0.0, 1.0])) == 1
         assert sign_alternations(np.array([1.0, -1.0, 1.0])) == 2
 
     def test_near_zero_entries_skipped(self):
         v = np.array([1.0, 1e-12, 1.0])
-        assert sign_alternations(v, zero_tol=1e-9) == 0
+        assert sign_alternations(v) == 0
 
 
 class TestHarperBasis:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -91,3 +92,30 @@ def test_bench_refuses_an_unknown_cell(capsys):
 def test_bench_worker_refuses_an_unknown_cell():
     with pytest.raises(ValueError, match="unknown cell 'nope'"):
         load("bench").run_cell("nope", 7)
+
+
+def test_compare_outputs_reports_a_changed_byte(tmp_path, monkeypatch, capsys):
+    module = load("compare_outputs")
+    ops = [["gaussian", "--dim", "3", "--family", "g4"], ["spectrum", "--dim", "3", "--kind", "fourier"]]
+    monkeypatch.setattr(module, "distinct_ops", lambda seeds: ops)
+    src = SCRIPTS.parent / "src"
+    assert module.main(["--src", f"a={src}", "--src", f"b={src}"]) == 0
+    assert capsys.readouterr().out == "0 of 2 ops differ across a, b\n"
+
+    # the same tree with one byte of the gaussian CSV header changed
+    changed = tmp_path / "src"
+    shutil.copytree(src / "finosc", changed / "finosc", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "finosc" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"prob"') == 1
+    cli.write_text(text.replace('"prob"', '"prop"'))
+    assert module.main(["--src", f"parent={src}", "--src", f"change={changed}"]) == 1
+    assert capsys.readouterr().out == (
+        "differs: gaussian --dim 3 --family g4 (stdout sha256)\n1 of 2 ops differ across parent, change\n"
+    )
+
+
+def test_compare_outputs_op_list():
+    ops = load("compare_outputs").distinct_ops([1, 5])
+    assert len(ops) == len({tuple(op) for op in ops}) == 45
+    assert ops[-3:] == [["verify", "--dim", d] for d in ("3", "101", "201")]
