@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk, frames, spectrum, revival and Wigner layers of one or more
-source trees of finosc.
+"""Time the Kravchuk, frames, Harper basis, spectrum, revival and Wigner layers
+of one or more source trees of finosc.
 
-Ten cells are timed at each dimension, every run starting from empty
-Kravchuk, coherent-family and Gaussian caches:
+Eleven cells are timed at each dimension, every run starting from empty
+Kravchuk, coherent-family, Gaussian, Fourier and Harper caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
 * ``check_kravchuk``: the Kravchuk identity checks that ``finosc verify`` runs;
@@ -15,6 +15,7 @@ Kravchuk, coherent-family and Gaussian caches:
   CSV to a file;
 * ``frame_hamiltonian``: quantizing the harmonic symbol over the g1 coherent
   family (``frame_hamiltonian(dim, 1)``);
+* ``harper_basis``: building the Harper eigenbasis (``harper_basis(dim)``);
 * ``cli_spectrum``: ``finosc spectrum --kind harper --dim d`` writing its CSV
   to a file;
 * ``cli_wigner``: ``finosc wigner --family g1 --kappa 1 --dim d`` writing its
@@ -78,6 +79,7 @@ CELLS = {
     "check_frames": lambda finosc, dim: _passed(finosc.checks._check_frames(dim)),
     "cli_frame_check": ["frame-check", "--family", "g4"],
     "frame_hamiltonian": lambda finosc, dim: _ok(finosc.oscillators.frame_hamiltonian(dim, 1)),
+    "harper_basis": lambda finosc, dim: _ok(finosc.oscillators.harper_basis(dim)),
     "cli_spectrum": ["spectrum", "--kind", "harper"],
     "cli_wigner": ["wigner", "--family", "g1", "--kappa", "1"],
     "cli_revival": ["revival", "--kind", "harper"],

@@ -32,7 +32,8 @@ from .grid import (
     LinearOperator,
     hermitian_eigenvalues,
 )
-from .grid import _adopt, _assign, _check_tolerance, _phase, _readonly_copy, _same_dim, _stack, _views
+from .grid import _adopt, _assign, _check_integer, _check_tolerance, _phase, _readonly_copy, _same_dim
+from .grid import _stack, _views
 
 __all__ = [
     "schwinger",
@@ -66,20 +67,23 @@ def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
     """
     if which not in ("A", "B"):
         raise InputError(f"which must be 'A' or 'B', got {which!r}")
+    power = _check_integer("power", power)
     return displacement(dim, power, 0) if which == "A" else displacement(dim, 0, power)
 
 
 def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
     """The unitary D(alpha, beta) = e^{i pi alpha beta / d} A^alpha B^beta.
 
-    Accepts arbitrary integer labels; the symmetric phase makes the
+    Accepts arbitrary integer labels (a label with a fractional part raises
+    ``InputError``); the symmetric phase makes the
     composition law D(a1,b1) D(a2,b2) = e^{-i pi (a1 b2 - a2 b1)/d}
     D(a1+a2, b1+b2) hold for unreduced label arithmetic.  Note
     D(alpha + d, beta) = (-1)^beta D(alpha, beta), so reducing a label mod d
     can flip the overall sign.
     """
-    B = _phase(dim.d, 2 * dim.indices() * (int(beta) % dim.d))
-    return _monomial(dim, int(alpha), _phase(dim.d, int(alpha) * int(beta)) * B)
+    alpha, beta = _check_integer("alpha", alpha), _check_integer("beta", beta)
+    B = _phase(dim.d, 2 * dim.indices() * (beta % dim.d))
+    return _monomial(dim, alpha, _phase(dim.d, alpha * beta) * B)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import math
 import numbers
+import operator
 import random
 
 import numpy as np
@@ -52,8 +53,20 @@ class InputError(ValueError):
 
 
 def _check_tolerance(tol: float) -> None:
-    if not tol > 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int, once it is integral: a Python or numpy int, or a
+    float such as 2.0.  A fractional part, NaN or an infinity raises
+    ``InputError`` naming it, so no label is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if not float(value).is_integer():
+            raise InputError(f"{name} must be an integer, got {value}") from None
+        return int(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -83,7 +96,7 @@ class GridDim:
 
     def wrap(self, n: int) -> int:
         """Reduce an arbitrary integer index to the symmetric range mod d."""
-        return (int(n) + self.j) % self.d - self.j
+        return (_check_integer("index", n) + self.j) % self.d - self.j
 
     def __str__(self):
         return f"d={self.d}"
@@ -152,7 +165,7 @@ class GridFunction:
         return _adopt(cls, dim, np.zeros(dim.d, dtype=complex))
 
     def __getitem__(self, n: int) -> complex:
-        return complex(self.values[(int(n) + self.dim.j) % self.dim.d])
+        return complex(self.values[(_check_integer("index", n) + self.dim.j) % self.dim.d])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -424,6 +437,15 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(entry) / np.abs(entry))
 
 
+def _eigh(A: np.ndarray):
+    """LAPACK's ``numpy.linalg.eigh`` of a Hermitian array: ascending
+    eigenvalues and eigenvector columns; its failure raises ``ConvergenceError``."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+
+
 def _sorted_eigenpairs(M: LinearOperator):
     """Validate, symmetrize and solve: the Hermitian working copy, its
     Frobenius norm and the eigenvalues in LAPACK's ascending order with their
@@ -440,10 +462,7 @@ def _sorted_eigenpairs(M: LinearOperator):
     if norm == 0.0:
         return A, norm, np.zeros(d), np.eye(d, dtype=complex)
 
-    try:
-        vals, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    vals, V = _eigh(A)
     # eigh's eigenvalues already ascend; the column-major copy is kept because
     # the cluster Gram-Schmidt's vdot rounds according to the memory layout
     return A, norm, vals, np.asfortranarray(V)

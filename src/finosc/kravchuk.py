@@ -25,7 +25,7 @@ from math import comb, factorial, ldexp, sqrt
 
 import numpy as np
 
-from .grid import GridDim, GridFunction, InputError, LinearOperator, _adopt, _readonly_copy
+from .grid import GridDim, GridFunction, InputError, LinearOperator, _adopt, _check_integer, _readonly_copy
 
 __all__ = [
     "KravchukTable",
@@ -43,18 +43,20 @@ _KRAVCHUK_CACHE_SIZE = 16  # tables, and generator sets, kept per dimension
 
 
 def _check_grid(dim: GridDim, **indices: int) -> tuple[int, ...]:
-    """The indices as ints, once each lies in [-j, j] and every K_m(n) of the
-    grid fits in float64: by Vandermonde |K_m(n)| <= C(2j, j+m) <= C(2j, j),
-    one exact test that bounds the binomial ratios too and passes to d = 1029."""
+    """The indices as ints, once each is an integer in [-j, j] and every
+    K_m(n) of the grid fits in float64: by Vandermonde |K_m(n)| <= C(2j, j+m)
+    <= C(2j, j), one exact test that bounds the binomial ratios too and passes
+    to d = 1029."""
     j = dim.j
-    for name, value in indices.items():
+    labels = tuple(_check_integer(name, value) for name, value in indices.items())
+    for name, value in zip(indices, labels):
         if not -j <= value <= j:
             raise InputError(f"{name}={value} outside the grid range [-{j}, {j}]")
     if comb(2 * j, j) >= 2**1024:
         raise InputError(
             f"Kravchuk values at d = {dim.d} reach C({2 * j}, {j}) >= 2^1024, past the float64 range"
         )
-    return tuple(int(value) for value in indices.values())
+    return labels
 
 
 def _kravchuk_polynomial_int(j: int, m: int, n: int) -> int:

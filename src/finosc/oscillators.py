@@ -26,10 +26,11 @@ from .grid import (
     InputError,
     LinearOperator,
     SpectralDecomposition,
+    canonical_phase,
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _readonly_copy, _stack, _views
+from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _eigh, _readonly_copy, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -58,8 +59,6 @@ __all__ = [
 ]
 
 
-# certificate of the Harper labelling: max |F h_n - (-i)^n h_n|
-_FOURIER_TOL = 1e-8
 # Lanczos on diag(n) refuses once beta_k / j falls below this (Krylov breakdown)
 _BREAKDOWN = 1e-10
 _LADDER_CACHE_SIZE = 32  # Harper bases kept
@@ -67,7 +66,8 @@ _LADDER_CACHE_SIZE = 32  # Harper bases kept
 
 class DegenerateSpectrumError(RuntimeError):
     """Eigenvalues too close to separate where a simple spectrum is required:
-    closer than the degeneracy gap, or mixing two Fourier classes."""
+    two Harper energies of one Fourier class closer than the degeneracy gap,
+    or Fourier classes of the wrong dimension."""
 
 
 def position_squared(dim: GridDim) -> LinearOperator:
@@ -199,12 +199,11 @@ class HarperBasis:
     """Harper eigenfunctions h_0..h_{2j} labelled by Fourier class and energy.
 
     ``columns`` holds h_n in column n; ``functions`` are read-only
-    GridFunction views of it.  ``fourier_eigenvalues[n]`` is (-i)^n,
-    verified against F h_n at build time.  ``energies`` are the corresponding
+    GridFunction views of it.  ``fourier_eigenvalues[n]`` is (-i)^n, the
+    eigenvalue of F on the class that h_n is built in.  ``energies`` are the
     Harper eigenvalues in label order; ``energy_order_consistent`` records
     whether that order coincides with ascending energy, which fails as soon as
-    two Fourier classes interleave in the upper spectrum and is surfaced as a
-    diagnostic.
+    two Fourier classes interleave in the upper spectrum (a diagnostic).
     """
 
     dim: GridDim
@@ -226,42 +225,41 @@ class HarperBasis:
 
 @lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def harper_basis(dim: GridDim) -> HarperBasis:
-    """Diagonalize the Harper oscillator and label eigenvectors by Fourier class.
+    """The Harper eigenbasis, built one Fourier class at a time.
 
-    H commutes with F, so each eigenvector of a simple spectrum lies in one
-    eigenspace of F, with <v, F v> = (-i)^r for a class r in {0, 1, 2, 3}.
-    The k-th lowest energy in class r gets label n = 4k + r (Candan, Kutay &
-    Ozaktas, IEEE TSP 48, 2000).  The residual F h_n = (-i)^n h_n certifies
-    the labelling; it can only fail when two eigenvalues of different classes
-    are too close to be separated, so it raises ``DegenerateSpectrumError``,
-    as does a gap below the eigensolver's degeneracy gap (1e-10).  The basis
-    is cached per grid, so each grid costs one eigensolve.
+    On the real eigenspace of F for (-i)^r, F.real - 2 F.imag equals 1, 2,
+    -1, -2 for r = 0..3, so one eigensolve of it splits the grid into the four
+    classes, with gaps of at least 1.  H is real and commutes with F, so it is
+    solved on each class, and the k-th lowest energy of class r gets label
+    n = 4k + r (Candan, Kutay & Ozaktas, IEEE TSP 48, 2000).  A class of the
+    wrong dimension, or two energies of one class closer than the degeneracy
+    gap (1e-10), raises ``DegenerateSpectrumError``.  Cached per grid.
     """
-    dec = eigendecompose_hermitian(harper_hamiltonian(dim))
-    gaps = np.diff(dec.eigenvalues)
-    if np.any(gaps < _DEGENERACY_GAP):
-        k = int(np.argmin(gaps))
-        raise DegenerateSpectrumError(
-            f"Harper eigenvalues {k} and {k + 1} differ by {gaps[k]:.3e} "
-            f"(< {_DEGENERACY_GAP:.1e}) at {dim}"
-        )
-    F = fourier_operator(dim)
-    V = dec.columns
-    FV = F.matrix @ V
-    classes = np.rint(-np.angle(np.sum(V.conj() * FV, axis=0)) / (np.pi / 2)).astype(int) % 4
-    rank = np.array([np.count_nonzero(classes[:i] == r) for i, r in enumerate(classes)])
-    order = np.argsort(4 * rank + classes)
-    phases = np.array([(-1j) ** n for n in range(dim.d)])
-    resid = np.max(np.abs(FV[:, order] - V[:, order] * phases), axis=0)
-    if np.any(resid > _FOURIER_TOL):
-        n = int(np.argmax(resid))
-        raise DegenerateSpectrumError(
-            f"F h_{n} deviates from (-i)^{n} h_{n} by {resid[n]:.3e} (> {_FOURIER_TOL:.1e}): "
-            f"Fourier classes are not separated at {dim}"
-        )
-    energies = dec.eigenvalues[order]
+    d = dim.d
+    H = harper_hamiltonian(dim).matrix.real
+    F = fourier_operator(dim).matrix
+    w, U = _eigh(F.real - 2.0 * F.imag)
+    columns, energies = np.empty((d, d)), np.empty(d)
+    for r, t in enumerate((1.0, 2.0, -1.0, -2.0)):
+        Q = U[:, np.abs(w - t) < 0.5]
+        if Q.shape[1] != len(range(r, d, 4)):
+            raise DegenerateSpectrumError(
+                f"Fourier class {r} has dimension {Q.shape[1]}, not {len(range(r, d, 4))}: "
+                f"Fourier classes are not separated at {dim}"
+            )
+        e, W = _eigh(Q.T @ H @ Q)
+        gaps = np.diff(e)
+        if np.any(gaps < _DEGENERACY_GAP):
+            k = int(np.argmin(gaps))
+            raise DegenerateSpectrumError(
+                f"Harper eigenvalues {4 * k + r} and {4 * k + 4 + r} differ by {gaps[k]:.3e} "
+                f"(< {_DEGENERACY_GAP:.1e}) at {dim}"
+            )
+        columns[:, r::4], energies[r::4] = Q @ W, e
+    phases = np.array([(-1j) ** n for n in range(d)])
     consistent = bool(np.all(np.diff(energies) > 0))
-    return _adopt(HarperBasis, dim, np.take(V, order, axis=1), energies, phases, consistent)
+    columns = canonical_phase(columns.astype(complex))
+    return _adopt(HarperBasis, dim, columns, energies, phases, consistent)
 
 
 def fractional_fourier(dim: GridDim, alpha: float) -> LinearOperator:

@@ -42,7 +42,8 @@ class WignerMap:
 
 
 def wigner(psi: GridFunction) -> WignerMap:
-    """The Wigner map of a finite state; an imaginary residue above 1e-12 raises ValueError."""
+    """The Wigner map of a finite state.  W scales as ||psi||^2, so an
+    imaginary residue above 1e-12 max(1, ||psi||^2) raises ValueError."""
     if not np.all(np.isfinite(psi.values)):
         raise ValueError("state has non-finite entries")
     dim = psi.dim
@@ -57,19 +58,21 @@ def wigner(psi: GridFunction) -> WignerMap:
     kernel = np.exp(4j * np.pi * np.outer(n, n) / d)  # kernel[i_m, i_k], grid values
     W = corr @ kernel.T / d
     residue = float(np.max(np.abs(W.imag)))
-    if residue > 1e-12:
-        raise ValueError(f"Wigner imaginary residue {residue:.3e} exceeds 1.0e-12")
+    bound = 1e-12 * max(1.0, psi.norm() ** 2)
+    if residue > bound:
+        raise ValueError(f"Wigner imaginary residue {residue:.3e} exceeds {bound:.1e}")
     return WignerMap(dim, W.real)
 
 
 def wigner_fourier_covariance_check(psi: GridFunction) -> bool:
-    """True iff W_{F[psi]}(n, m) equals W_psi(m, -n) within 1e-10; psi must be even."""
+    """True iff W_{F[psi]}(n, m) equals W_psi(m, -n) within
+    1e-10 max(1, ||psi||^2); psi must be even."""
     if not psi.is_even():
         raise ValueError("covariance check requires an even function")
     W = wigner(psi).values
     WF = wigner(fourier_transform(psi)).values
     rotated = W[:, ::-1].T  # rotated[i_n, i_m] = W[i_m, d-1-i_n] = W_psi(m, -n)
-    return bool(np.max(np.abs(WF - rotated)) <= 1e-10)
+    return bool(np.max(np.abs(WF - rotated)) <= 1e-10 * max(1.0, psi.norm() ** 2))
 
 
 _SIGNS = {

@@ -205,6 +205,12 @@ NUMERIC_USAGE_ERRORS = [
         "nan-tol-revival", "revival --dim 9 --kind kravchuk --tol nan", "tolerance must be positive"
     ),
     usage_case(
+        "inf-tol", "frame-check --dim 5 --family g4 --tol inf", "positive and finite, got inf"
+    ),
+    usage_case(
+        "inf-tol-revival", "revival --dim 5 --kind harper --tol inf", "positive and finite, got inf"
+    ),
+    usage_case(
         "negative-samples", "revival --dim 9 --kind kravchuk --samples -1", "--samples", "at least 1"
     ),
     usage_case(

@@ -26,7 +26,7 @@ from finosc.grid import (
     parity_operator,
 )
 from finosc import checks, grid
-from finosc.frames import FiniteFrame, coherent_family, dequantize, frame_analyze, schwinger
+from finosc.frames import FiniteFrame, coherent_family, dequantize, displacement, frame_analyze, schwinger
 from finosc.gaussians import Family, gaussian, theta
 from finosc.oscillators import (
     deformed_fourier_hamiltonian,
@@ -40,7 +40,12 @@ from finosc.oscillators import (
     kravchuk_hamiltonian,
     sign_alternations,
 )
-from finosc.kravchuk import kravchuk_function, kravchuk_function_hypergeometric, kravchuk_polynomial
+from finosc.kravchuk import (
+    kravchuk_function,
+    kravchuk_function_hypergeometric,
+    kravchuk_polynomial,
+    kravchuk_table,
+)
 from finosc.wigner import wigner, wigner_fourier_covariance_check, wigner_product_decomposition
 from conftest import rand_state
 
@@ -90,6 +95,7 @@ class TestInputError:
             lambda dim: hamiltonian(dim, "no-such-kind"),
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=0.0),
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=math.nan),
+            lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), tol=math.inf),
             lambda dim: detect_revivals(eigendecompose_hermitian(kravchuk_hamiltonian(dim)), min_len=2),
             lambda dim: Family.from_label("g6"),
             lambda dim: frame_hamiltonian(dim, 6),
@@ -108,6 +114,7 @@ class TestInputError:
             lambda dim: wigner_product_decomposition(dim, Family.G3, math.inf),
             lambda dim: frame_analyze(np.eye(dim.d), tol=0.0),
             lambda dim: frame_analyze(np.eye(dim.d), tol=math.nan),
+            lambda dim: frame_analyze(np.eye(dim.d)[:2], tol=math.inf),
             lambda dim: kravchuk_polynomial(dim, 7, 0),
             lambda dim: kravchuk_function(dim, 0, -3),
             lambda dim: kravchuk_function_hypergeometric(dim, 3, 0),
@@ -128,6 +135,7 @@ class TestInputError:
             "unknown-kind",
             "zero-tol",
             "nan-tol",
+            "inf-tol",
             "min-len-2",
             "unknown-family-label",
             "frame-hamiltonian-family-6",
@@ -146,6 +154,7 @@ class TestInputError:
             "wigner-product-inf-kappa",
             "frame-analyze-zero-tol",
             "frame-analyze-nan-tol",
+            "frame-analyze-inf-tol",
             "kravchuk-polynomial-m-7",
             "kravchuk-function-n-minus-3",
             "kravchuk-hypergeometric-m-3",
@@ -154,6 +163,37 @@ class TestInputError:
     def test_library_rules_raise_input_error(self, call):
         with pytest.raises(InputError):
             call(GridDim.from_size(5))
+
+
+# each route that takes a grid label or a power: (call of (dim, label), the name it reports)
+LABEL_ROUTES = {
+    "kravchuk-polynomial-m": (lambda dim, x: kravchuk_polynomial(dim, x, 0), "m"),
+    "kravchuk-function-n": (lambda dim, x: kravchuk_function(dim, 0, x), "n"),
+    "kravchuk-table-function-m": (lambda dim, x: kravchuk_table(dim).function(x, 0), "m"),
+    "displacement-alpha": (lambda dim, x: displacement(dim, x, 0).matrix, "alpha"),
+    "displacement-beta": (lambda dim, x: displacement(dim, 0, x).matrix, "beta"),
+    "schwinger-power": (lambda dim, x: schwinger(dim, "A", x).matrix, "power"),
+    "wrap": (lambda dim, x: dim.wrap(x), "index"),
+    "getitem": (lambda dim, x: GridFunction.delta(dim, 1)[x], "index"),
+}
+
+
+class TestIntegerLabels:
+    """A label or power with a fractional part is refused by name, never truncated."""
+
+    @pytest.mark.parametrize("value", [0.5, 1.9, math.nan])
+    @pytest.mark.parametrize("route", LABEL_ROUTES)
+    def test_fractional_label_is_refused(self, route, value):
+        call, name = LABEL_ROUTES[route]
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value}$"):
+            call(GridDim.from_size(5), value)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), 2.0], ids=["int", "int64", "float"])
+    @pytest.mark.parametrize("route", LABEL_ROUTES)
+    def test_integral_label_is_taken(self, route, value):
+        call, _ = LABEL_ROUTES[route]
+        dim = GridDim.from_size(5)
+        assert np.array_equal(call(dim, value), call(dim, 2))
 
 
 class TestInnerProduct:

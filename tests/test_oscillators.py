@@ -208,6 +208,58 @@ class TestHarperBasis:
         assert not basis.energy_order_consistent
 
 
+# --- the reference implementation: the former classifier, which solves H
+# whole and guesses each eigenvector's Fourier class from the phase of <v, Fv>
+
+
+def classified_harper_basis(dim):
+    """(columns, energies) of the Harper basis labelled 4k + r by classifying
+    one eigenbasis of H, certified by max |F h_n - (-i)^n h_n| <= 1e-8."""
+    dec = eigendecompose_hermitian(harper_hamiltonian(dim))
+    assert np.all(np.diff(dec.eigenvalues) >= 1e-10)
+    V = dec.columns
+    FV = fourier_operator(dim).matrix @ V
+    classes = np.rint(-np.angle(np.sum(V.conj() * FV, axis=0)) / (np.pi / 2)).astype(int) % 4
+    rank = np.array([np.count_nonzero(classes[:i] == r) for i, r in enumerate(classes)])
+    order = np.argsort(4 * rank + classes)
+    phases = np.array([(-1j) ** n for n in range(dim.d)])
+    assert np.max(np.abs(FV[:, order] - V[:, order] * phases)) <= 1e-8
+    return V[:, order], dec.eigenvalues[order]
+
+
+class TestHarperBasisByClass:
+    @pytest.mark.parametrize("d", list(range(3, 63, 2)) + [201, 401])
+    def test_matches_the_classifier(self, d):
+        dim = GridDim.from_size(d)
+        columns, energies = classified_harper_basis(dim)
+        basis = harper_basis(dim)
+        assert np.max(np.abs(basis.columns - columns)) <= 1e-12
+        assert np.max(np.abs(basis.energies - energies)) <= 1e-12
+
+    def test_fourier_residual_at_rounding_level(self):
+        # eps d / 2 = 2.2e-14 at d = 201; classifying one eigenbasis gave 4.7e-14
+        dim = GridDim.from_size(201)
+        basis = harper_basis(dim)
+        V = basis.columns
+        resid = np.max(np.abs(fourier_operator(dim).matrix @ V - V * basis.fourier_eigenvalues))
+        assert resid <= np.finfo(float).eps * dim.d / 2
+
+    def test_tie_inside_one_class_raises(self, d7, monkeypatch):
+        # with H the identity every class is one degenerate eigenspace; the
+        # first tie is between the two labels of class 0
+        monkeypatch.setattr(oscillators, "harper_hamiltonian", LinearOperator.identity)
+        with pytest.raises(DegenerateSpectrumError, match="Harper eigenvalues 0 and 4 differ"):
+            harper_basis.__wrapped__(d7)
+
+    def test_solves_no_complex_eigenbasis(self, d7, monkeypatch):
+        def fail(M):
+            raise AssertionError("harper_basis solved H whole")
+
+        monkeypatch.setattr(oscillators, "eigendecompose_hermitian", fail)
+        basis = harper_basis.__wrapped__(d7)
+        assert np.array_equal(basis.columns, harper_basis(d7).columns)
+
+
 class TestFractionalFourier:
     def test_zeroth_power_is_identity(self, d15):
         assert op_err(fractional_fourier(d15, 0.0), LinearOperator.identity(d15)) < 1e-10

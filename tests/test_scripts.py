@@ -56,6 +56,7 @@ def test_bench_d7(tmp_path):
         "cli_verify",
         "cli_wigner",
         "frame_hamiltonian",
+        "harper_basis",
         "kravchuk_table",
     ]
     for cell in cells.values():
@@ -66,7 +67,7 @@ def test_bench_d7(tmp_path):
         assert run["runs_blas_threads"] == [1, 1, 1]
     assert cells["check_kravchuk"]["7"]["status"] == ["13/13 passed"]
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
-    for cell in ("kravchuk_table", "frame_hamiltonian"):
+    for cell in ("kravchuk_table", "frame_hamiltonian", "harper_basis"):
         assert cells[cell]["7"]["status"] == ["ok"]
     cli_cells = ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_revival", "cli_verify")
     for cli_cell in cli_cells:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finosc.gaussians import Family, gaussian, normalized_gaussian
-from finosc.grid import GridDim, GridFunction, fourier_transform
+from finosc.grid import GridDim, GridFunction, _SeededDraws, fourier_transform
 from finosc.wigner import (
     wigner,
     wigner_fourier_covariance_check,
@@ -47,6 +47,16 @@ class TestDefiningSum:
         with pytest.raises(ValueError, match="non-finite"):
             wigner(GridFunction(d7, v))
 
+    @pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("d", [15, 101, 201])
+    def test_scales_as_norm_squared(self, d, c):
+        # the imaginary residue grows with ||psi||^2 too, so a large state is not refused
+        dim = GridDim.from_size(d)
+        psi = GridFunction(dim, _SeededDraws(3).complex_normals(d))
+        W = wigner(psi).values
+        scale = c**2 * max(psi.norm() ** 2, 1)
+        assert np.max(np.abs(wigner(c * psi).values - c**2 * W)) < 1e-12 * scale
+
 
 class TestMarginals:
     @settings(max_examples=20, deadline=None)
@@ -71,6 +81,10 @@ class TestFourierCovariance:
     def test_wide_theta_family(self):
         dim = GridDim.from_size(9)
         assert wigner_fourier_covariance_check(gaussian(dim, Family.G1, 2.0))
+
+    @pytest.mark.parametrize("c", [1e2, 1e4])
+    def test_scaled_binomial_family(self, c):
+        assert wigner_fourier_covariance_check(c * gaussian(GridDim.from_size(101), Family.G4))
 
     def test_rejects_uneven_state(self, d7):
         with pytest.raises(ValueError, match="even"):
