@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Kravchuk, frames, Harper basis, spectrum, revival and Wigner layers
-of one or more source trees of finosc.
+"""Time the Kravchuk, frames, Gaussian, Harper basis, spectrum, revival and
+Wigner layers of one or more source trees of finosc.
 
-Eleven cells are timed at each dimension, every run starting from empty
+Twelve cells are timed at each dimension, every run starting from empty
 Kravchuk, coherent-family, Gaussian, Fourier and Harper caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
@@ -13,6 +13,8 @@ Kravchuk, coherent-family, Gaussian, Fourier and Harper caches:
   ``finosc verify`` runs;
 * ``cli_frame_check``: ``finosc frame-check --family g4 --dim d`` writing its
   CSV to a file;
+* ``check_gaussians``: the Gaussian and theta identity checks that
+  ``finosc verify`` runs;
 * ``frame_hamiltonian``: quantizing the harmonic symbol over the g1 coherent
   family (``frame_hamiltonian(dim, 1)``);
 * ``harper_basis``: building the Harper eigenbasis (``harper_basis(dim)``);
@@ -78,6 +80,7 @@ CELLS = {
     "cli_kravchuk_table": ["kravchuk-table"],
     "check_frames": lambda finosc, dim: _passed(finosc.checks._check_frames(dim)),
     "cli_frame_check": ["frame-check", "--family", "g4"],
+    "check_gaussians": lambda finosc, dim: _passed(finosc.checks._check_gaussians(dim)),
     "frame_hamiltonian": lambda finosc, dim: _ok(finosc.oscillators.frame_hamiltonian(dim, 1)),
     "harper_basis": lambda finosc, dim: _ok(finosc.oscillators.harper_basis(dim)),
     "cli_spectrum": ["spectrum", "--kind", "harper"],

@@ -212,17 +212,11 @@ def _check_gaussians(dim: GridDim) -> list[CheckResult]:
         )
     )
 
-    d = dim.d
-    err = 0.0
-    g1, g2, g3 = (gaussians.gaussian(dim, fam, 1.0) for fam in (Family.G1, Family.G2, Family.G3))
-    for n in dim.indices():
-        t3 = gaussians.theta(3, n / d, 1j / d)
-        t4 = gaussians.theta(4, n / d, 1j / d)
-        t2 = gaussians.theta(2, n / d, 1j / d)
-        err = max(err, abs(g1[n] - t3 / math.sqrt(d)))
-        err = max(err, abs(g2[n] - t4 / math.sqrt(d)))
-        err = max(err, abs(g3[n] - (-1.0) ** n * t2 / math.sqrt(d)))
-    out.append(_result("theta-crosschecks", err, 1e-12))
+    d, n = dim.d, dim.indices()
+    g1, g2, g3 = (gaussians.gaussian(dim, fam, 1.0).values for fam in (Family.G1, Family.G2, Family.G3))
+    t3, t4, t2 = (gaussians.theta(kind, n / d, 1j / d) / math.sqrt(d) for kind in (3, 4, 2))
+    err = np.max(np.abs([g1 - t3, g2 - t4, g3 - (-1.0) ** n * t2]))
+    out.append(_result("theta-crosschecks", float(err), 1e-12))
 
     def values(fam, kappa):
         return gaussians.gaussian(dim, fam, kappa).values

@@ -97,48 +97,54 @@ def _paired_sum(pair, envelope, series: str):
     raise ValueError(f"{series} did not converge within {_SERIES_CAP} pairs")
 
 
-def theta(kind: int, z: complex, tau: complex) -> complex:
+def theta(kind: int, z, tau: complex) -> complex | np.ndarray:
     """Jacobi theta function theta_kind(z, tau) for kind in {2, 3, 4}.
 
     theta_3(z,tau) = sum_a e^{i pi tau a^2} e^{2 pi i a z}; theta_4 carries the
     alternating sign (-1)^a and theta_2 runs over half-integers a + 1/2.
-    Requires Im(tau) > 0 for convergence; summed by ``_paired_sum``.
+    Requires Im(tau) > 0 for convergence.  ``z`` may be an array: the series
+    is summed once over the lattice offsets, each term an array over every z,
+    and the result has the shape of z (a Python complex for a scalar z).  It
+    stops by the rule of ``_paired_sum``, once that holds for every entry,
+    with the envelope growing at the largest |Im z|.
     """
     if kind not in (2, 3, 4):
         raise InputError(f"theta kind must be 2, 3 or 4, got {kind}")
-    if not complex(tau).imag > 0:
-        raise InputError("theta requires Im(tau) > 0")
-    z = complex(z)
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise InputError(f"theta requires a finite tau, got {tau}")
+    if not tau.imag > 0:
+        raise InputError("theta requires Im(tau) > 0")
+    zs = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(zs)
+    if bad.any():
+        raise InputError(f"theta requires a finite z, got {zs[bad][0]}")
     decay = math.pi * tau.imag
-    growth = 2.0 * math.pi * abs(z.imag)
+    growth = 2.0 * math.pi * float(np.max(np.abs(zs.imag), initial=0.0))
     shift = 0.5 if kind == 2 else 0.0
-
-    def envelope(a: int) -> float:
+    sign = -1.0 if kind == 4 else 1.0
+    total = np.zeros(zs.shape, dtype=complex)
+    peak = np.zeros(zs.shape)
+    # pair a holds the lattice points +-x, x = a + shift, each term
+    # e^{i pi tau x^2 +- 2 pi i x z}; x = 0 is the single term 1
+    for a in range(_SERIES_CAP + 1):
         x = a + shift
-        arg = -decay * x * x + growth * x
-        return 2.0 * math.exp(arg) if arg < 700.0 else math.inf
-
-    if kind == 2:
-
-        def pair(a):
-            out = 0j
-            for alpha in (a, -1 - a):
-                h = alpha + 0.5
-                out += cmath.exp(1j * cmath.pi * tau * h * h + 2j * cmath.pi * h * z)
-            return out
-
-    else:
-        sign = -1.0 if kind == 4 else 1.0
-
-        def pair(a):
-            if a == 0:
-                return cmath.exp(0j)
-            s = sign**a
-            e = cmath.exp(1j * cmath.pi * tau * a * a)
-            return s * e * (cmath.exp(2j * cmath.pi * a * z) + cmath.exp(-2j * cmath.pi * a * z))
-
-    return _paired_sum(pair, envelope, f"theta_{kind} series at z = {z}, tau = {tau}")
+        if x == 0.0:
+            t = np.ones(zs.shape, dtype=complex)
+        else:
+            c, b = 1j * math.pi * tau * x * x, 2j * math.pi * x
+            t = sign**a * (np.exp(c + b * zs) + np.exp(c - b * zs))
+        total += t
+        peak = np.maximum(peak, np.abs(t))
+        if a < SERIES_MIN_TERMS:
+            continue
+        arg = -decay * (x + 1) ** 2 + growth * (x + 1)
+        envelope = 2.0 * math.exp(arg) if arg < 700.0 else math.inf
+        # <=, so a sum that underflows to 0 stops on an envelope that does too
+        if envelope <= SERIES_REL_TOL * np.min(np.maximum(np.abs(total), peak), initial=math.inf):
+            return complex(total) if total.ndim == 0 else total
+    where = f"z = {complex(zs)}" if zs.ndim == 0 else f"{zs.size} points z"
+    raise ValueError(f"theta_{kind} series at {where}, tau = {tau} did not converge within {_SERIES_CAP} pairs")
 
 
 def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: bool) -> float:

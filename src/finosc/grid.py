@@ -157,7 +157,7 @@ class GridFunction:
     @classmethod
     def delta(cls, dim: GridDim, k: int) -> "GridFunction":
         v = np.zeros(dim.d, dtype=complex)
-        v[(k + dim.j) % dim.d] = 1.0
+        v[(_check_integer("k", k) + dim.j) % dim.d] = 1.0
         return _adopt(cls, dim, v)
 
     @classmethod
@@ -232,7 +232,7 @@ class LinearOperator:
     def entry(self, n: int, m: int) -> complex:
         """Matrix element <j;n| M |j;m>, indices wrapped mod d."""
         j, d = self.dim.j, self.dim.d
-        return complex(self.matrix[(n + j) % d, (m + j) % d])
+        return complex(self.matrix[(_check_integer("n", n) + j) % d, (_check_integer("m", m) + j) % d])
 
     def apply(self, psi: GridFunction) -> GridFunction:
         _same_dim(self, psi)

@@ -256,7 +256,7 @@ def harper_basis(dim: GridDim) -> HarperBasis:
                 f"(< {_DEGENERACY_GAP:.1e}) at {dim}"
             )
         columns[:, r::4], energies[r::4] = Q @ W, e
-    phases = np.array([(-1j) ** n for n in range(d)])
+    phases = np.array([1, -1j, -1, 1j])[np.arange(d) % 4]
     consistent = bool(np.all(np.diff(energies) > 0))
     columns = canonical_phase(columns.astype(complex))
     return _adopt(HarperBasis, dim, columns, energies, phases, consistent)

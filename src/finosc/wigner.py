@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import Family, _check_kappa, gaussian
-from .grid import GridDim, GridFunction, InputError, _readonly_copy, fourier_transform
+from .grid import GridDim, GridFunction, InputError, _check_integer, _readonly_copy, fourier_transform
 
 __all__ = [
     "WignerMap",
@@ -35,7 +35,7 @@ class WignerMap:
 
     def value(self, n: int, m: int) -> float:
         j, d = self.dim.j, self.dim.d
-        return float(self.values[(n + j) % d, (m + j) % d])
+        return float(self.values[(_check_integer("n", n) + j) % d, (_check_integer("m", m) + j) % d])
 
     def total(self) -> float:
         return float(self.values.sum())

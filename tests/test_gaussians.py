@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -183,6 +184,13 @@ class TestNormalizedValues:
         assert peaks == {-d15.j, d15.j}
 
 
+MPMATH_POINTS = [(0.3, 0.7j), (0.0, 1j), (-0.45, 0.08j), (0.2 + 0.1j, 0.5 + 0.9j), (1.7, 2.3j)]
+
+
+def mpmath_theta(kind, z, tau):
+    return complex(mpmath.jtheta(kind, mpmath.pi * z, mpmath.exp(1j * mpmath.pi * tau)))
+
+
 class TestTheta:
     def test_central_value_brute_force(self):
         # sum over e^{-pi a^2}, far past double precision at |a| = 50
@@ -191,14 +199,61 @@ class TestTheta:
         assert theta(3, 0.0, 1j).real == pytest.approx(1.0864348112133080, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
-    @pytest.mark.parametrize(
-        "z,tau",
-        [(0.3, 0.7j), (0.0, 1j), (-0.45, 0.08j), (0.2 + 0.1j, 0.5 + 0.9j), (1.7, 2.3j)],
-    )
+    @pytest.mark.parametrize("z,tau", MPMATH_POINTS)
     def test_against_mpmath(self, kind, z, tau):
         got = theta(kind, z, tau)
-        ref = complex(mpmath.jtheta(kind, mpmath.pi * z, mpmath.exp(1j * mpmath.pi * tau)))
+        ref = mpmath_theta(kind, z, tau)
         assert got == pytest.approx(ref, abs=1e-13)
+
+    def test_scalar_z_gives_a_python_complex(self):
+        assert type(theta(3, 0.3, 1j)) is complex
+        assert type(theta(2, np.float64(0.3), 1j)) is complex
+        got = theta(4, np.zeros((2, 3)), 1j)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 3) and got.dtype == complex
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("tau", sorted({tau for _, tau in MPMATH_POINTS}, key=abs))
+    def test_array_matches_scalar_at_the_mpmath_points(self, kind, tau):
+        # every mpmath point's z at every one of their tau: the array sum runs
+        # on past a real entry's stop while the complex z grows, and each extra
+        # pair is below 1e-18 of that entry's larger of sum and peak pair
+        zs = np.array([z for z, _ in MPMATH_POINTS]).reshape(1, -1)
+        got = theta(kind, zs, tau)
+        assert got.shape == zs.shape
+        for g, z in zip(got.ravel(), zs.ravel()):
+            f = theta(kind, z, tau)
+            assert abs(g - f) <= 4e-18 * max(abs(f), 1.0)
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("d", [15, 201])
+    def test_array_matches_scalar_on_the_grid(self, kind, d):
+        zs = GridDim.from_size(d).indices() / d
+        got = theta(kind, zs, 1j / d)
+        for g, z in zip(got, zs):
+            f = theta(kind, z, 1j / d)
+            assert abs(g - f) <= 4e-18 * max(abs(f), 1.0)
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_array_against_mpmath(self, kind):
+        zs = np.array([0.3, -0.45 + 0.05j, 0.2 + 0.1j, 1.7 - 0.3j, 0.0])
+        got = theta(kind, zs, 0.5 + 0.9j)
+        ref = [mpmath_theta(kind, z, 0.5 + 0.9j) for z in zs]
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "z,tau,named",
+        [
+            (math.nan, 1j, "z, got (nan+0j)"),
+            (0.1, complex(math.nan, 1.0), "tau, got (nan+1j)"),
+            (0.1, complex(0.0, math.inf), "tau, got infj"),
+            ([0.1, complex(0.2, -math.inf)], 1j, "z, got (0.2-infj)"),
+        ],
+        ids=["nan-z", "nan-tau", "inf-tau", "inf-entry"],
+    )
+    def test_refuses_non_finite_input(self, z, tau, named, monkeypatch):
+        monkeypatch.setattr(np, "exp", None)  # refused before any term is summed
+        with pytest.raises(InputError, match=f"^theta requires a finite {re.escape(named)}$"):
+            theta(3, z, tau)
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
@@ -311,6 +366,12 @@ class TestStructuralIdentityCheck:
         checks._check_gaussians(dim)
         assert KAPPAS == checks._KAPPAS
         assert errors["doubling-and-modulus-identities"] == loop_doubling_and_modulus_error(dim)
+
+    def test_theta_crosscheck_fails_on_swapped_kinds(self, d15, monkeypatch):
+        swapped = {2: 4, 3: 3, 4: 2}
+        monkeypatch.setattr(gaussians, "theta", lambda kind, z, tau: theta(swapped[kind], z, tau))
+        (result,) = [r for r in checks._check_gaussians(d15) if r.name == "theta-crosschecks"]
+        assert not result.passed
 
 
 class TestNorms:

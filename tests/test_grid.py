@@ -175,13 +175,18 @@ LABEL_ROUTES = {
     "schwinger-power": (lambda dim, x: schwinger(dim, "A", x).matrix, "power"),
     "wrap": (lambda dim, x: dim.wrap(x), "index"),
     "getitem": (lambda dim, x: GridFunction.delta(dim, 1)[x], "index"),
+    "delta-k": (lambda dim, x: GridFunction.delta(dim, x).values, "k"),
+    "entry-n": (lambda dim, x: fourier_operator(dim).entry(x, 1), "n"),
+    "entry-m": (lambda dim, x: fourier_operator(dim).entry(1, x), "m"),
+    "wigner-value-n": (lambda dim, x: wigner(GridFunction(dim, [1, 2, 3j, 4, 5])).value(x, 1), "n"),
+    "wigner-value-m": (lambda dim, x: wigner(GridFunction(dim, [1, 2, 3j, 4, 5])).value(1, x), "m"),
 }
 
 
 class TestIntegerLabels:
     """A label or power with a fractional part is refused by name, never truncated."""
 
-    @pytest.mark.parametrize("value", [0.5, 1.9, math.nan])
+    @pytest.mark.parametrize("value", [0.5, 1.9, math.nan, 1.5, math.inf, -math.inf])
     @pytest.mark.parametrize("route", LABEL_ROUTES)
     def test_fractional_label_is_refused(self, route, value):
         call, name = LABEL_ROUTES[route]

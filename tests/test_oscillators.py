@@ -244,6 +244,12 @@ class TestHarperBasisByClass:
         resid = np.max(np.abs(fourier_operator(dim).matrix @ V - V * basis.fourier_eigenvalues))
         assert resid <= np.finfo(float).eps * dim.d / 2
 
+    @pytest.mark.parametrize("d", [101, 103, 201])
+    def test_fourier_eigenvalues_are_exact(self, d):
+        # (-1j) ** n in floating point drifts from n = 101 on
+        exact = [(1, -1j, -1, 1j)[n % 4] for n in range(d)]
+        assert np.array_equal(harper_basis(GridDim.from_size(d)).fourier_eigenvalues, exact)
+
     def test_tie_inside_one_class_raises(self, d7, monkeypatch):
         # with H the identity every class is one degenerate eigenspace; the
         # first tie is between the two labels of class 0

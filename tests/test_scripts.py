@@ -48,6 +48,7 @@ def test_bench_d7(tmp_path):
     cells = report["results"]["current"]
     assert sorted(cells) == [
         "check_frames",
+        "check_gaussians",
         "check_kravchuk",
         "cli_frame_check",
         "cli_kravchuk_table",
@@ -67,6 +68,7 @@ def test_bench_d7(tmp_path):
         assert run["runs_blas_threads"] == [1, 1, 1]
     assert cells["check_kravchuk"]["7"]["status"] == ["13/13 passed"]
     assert cells["check_frames"]["7"]["status"] == ["6/6 passed"]
+    assert cells["check_gaussians"]["7"]["status"] == ["6/6 passed"]
     for cell in ("kravchuk_table", "frame_hamiltonian", "harper_basis"):
         assert cells[cell]["7"]["status"] == ["ok"]
     cli_cells = ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_revival", "cli_verify")
