@@ -411,27 +411,18 @@ def _check_wigner(dim: GridDim) -> list[CheckResult]:
     return out
 
 
-def _monomial_rows(op: LinearOperator):
-    """Column and value of the nonzero in each row; None unless each row has one."""
-    cols = np.argmax(op.matrix != 0, axis=1)
-    vals = op.matrix[np.arange(op.dim.d), cols]
-    return (cols, vals) if np.count_nonzero(op.matrix) == op.dim.d and np.all(vals) else None
-
-
 def _schwinger_relations(dim: GridDim) -> CheckResult:
     """A^d = B^d = 1, and A^a B^b = e^{-2 pi i ab/d} B^b A^a at all d^2 labels, on the
-    nonzeros of the monomial matrices: row n of M1 M2 holds v1(n) v2(c1(n)) in column c2(c1(n))."""
+    row entries that frames._weyl gives (row n of D(a, b) holds its one nonzero in
+    column n - a): with va, vb the entries of A^a, B^b, row n of A^a B^b holds
+    va(n) vb(n - a) and row n of B^b A^a holds vb(n) va(n), both in column n - a,
+    so one cyclic roll of the B table lines the two sides up."""
     d, n = dim.d, dim.indices()
-    err = max(_op_err(frames.schwinger(dim, w, d), LinearOperator.identity(dim)) for w in "AB")
-    A = [_monomial_rows(frames.schwinger(dim, "A", a)) for a in n]
-    B = [_monomial_rows(frames.schwinger(dim, "B", b)) for b in n]
-    if any(m is None for m in A + B):
-        return _result("schwinger-relations", float("inf"), 1e-12)
-    cb, vb = (np.array(x) for x in zip(*B))  # [b + j, n + j], every b at once
-    for a, (ca, va) in zip(n, A):
-        rhs = _phase(d, -2 * a * n)[:, None] * (vb * va[cb])
-        err = max(err, float(np.max(np.abs(va * vb[:, ca] - rhs))))
-        err = err if np.array_equal(cb[:, ca], ca[cb]) else float("inf")
+    err = max(float(np.max(np.abs(frames._weyl(dim, *p) - 1))) for p in ((d, 0), (0, d)))
+    A, B = frames._weyl(dim, n, 0), frames._weyl(dim, 0, n)  # [a + j, n + j], [b + j, n + j]
+    for a, va in zip(n, A):
+        rhs = _phase(d, -2 * a * n)[:, None] * (B * va)
+        err = max(err, float(np.max(np.abs(va * np.roll(B, a, axis=1) - rhs))))
     return _result("schwinger-relations", err, 1e-12)
 
 

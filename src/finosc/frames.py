@@ -50,12 +50,13 @@ __all__ = [
 _FAMILY_CACHE_SIZE = 32  # coherent families kept; each holds O(d) numbers
 
 
-def _monomial(dim: GridDim, shift: int, entries: np.ndarray) -> LinearOperator:
-    """A^shift diag(entries): row n holds entries(n - shift) in column n - shift."""
-    m = np.zeros((dim.d, dim.d), dtype=complex)
-    cols = (np.arange(dim.d) - shift) % dim.d
-    m[np.arange(dim.d), cols] = entries[cols]
-    return _adopt(LinearOperator, dim, m)
+def _weyl(dim: GridDim, alpha, beta) -> np.ndarray:
+    """The one nonzero of row n of D(alpha, beta), which sits in column n - alpha,
+    for broadcast integer label arrays, as an array [..., n + j]:
+    e^{i pi alpha beta/d} e^{2 pi i beta (n - alpha)/d}, both exponents taken mod 2d."""
+    d = dim.d
+    a, b = (np.asarray(x % (2 * d))[..., None] for x in (alpha, beta))
+    return _phase(d, a * b) * _phase(d, 2 * ((dim.indices() - a) % d) * (b % d))
 
 
 def schwinger(dim: GridDim, which: str, power: int = 1) -> LinearOperator:
@@ -82,8 +83,9 @@ def displacement(dim: GridDim, alpha: int, beta: int) -> LinearOperator:
     can flip the overall sign.
     """
     alpha, beta = _check_integer("alpha", alpha), _check_integer("beta", beta)
-    B = _phase(dim.d, 2 * dim.indices() * (beta % dim.d))
-    return _monomial(dim, alpha, _phase(dim.d, alpha * beta) * B)
+    m, rows = np.zeros((dim.d, dim.d), dtype=complex), np.arange(dim.d)
+    m[rows, (rows - alpha % dim.d) % dim.d] = _weyl(dim, alpha, beta)
+    return _adopt(LinearOperator, dim, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +144,8 @@ def quantize(family: CoherentFamily, f: Callable[[int, int], complex] | np.ndarr
 
     ``f`` is a real or complex d x d table indexed [alpha + j, beta + j], the
     layout ``dequantize`` returns, or a callable that fills that table from
-    Python int labels alpha, beta in -j..j.  A_f is Hermitian whenever f is
-    real-valued.  Summed over beta first,
+    Python int labels alpha, beta in -j..j; a NaN or infinite value raises
+    ``InputError``.  A_f is Hermitian whenever f is real-valued.  Summed over beta first,
     A[n, n-k] = (1/d) sum_alpha P_k(n-alpha) fhat(alpha, k) with
     P_k(u) = G(u) G*(u-k) and fhat(alpha, k) = sum_beta f(alpha, beta)
     e^{2 pi i beta k/d}: a cyclic convolution in alpha for each offset k, so
@@ -158,6 +160,8 @@ def quantize(family: CoherentFamily, f: Callable[[int, int], complex] | np.ndarr
         w = np.array(f, dtype=complex)  # a copy: it is scaled in place
         if w.shape != (dim.d, dim.d):
             raise InputError(f"symbol table must have shape {(dim.d, dim.d)}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise InputError("symbol values must be finite")
     w /= dim.d
     fft = np.fft  # loaded on first use, so commands that never quantize skip it
     P, fhat = fft.fft(_diagonal_products(family), axis=0), fft.fft(w @ _beta_phases(dim), axis=0)
@@ -225,8 +229,9 @@ class FiniteFrame:
     """Unit vectors u_i (the rows of ``rows``; ``vectors`` are read-only
     GridFunction views of them) with weights kappa_i resolving the identity.
 
-    The constructor takes GridFunctions or an (N, d) array and validates the
-    resolution sum kappa_i |u_i><u_i| = identity and sum kappa_i = d.
+    The constructor takes GridFunctions or an (N, d) array, refuses
+    non-finite vectors or weights, and validates the resolution
+    sum kappa_i |u_i><u_i| = identity and sum kappa_i = d.
     """
 
     dim: GridDim
@@ -239,6 +244,9 @@ class FiniteFrame:
         w = np.array(weights, dtype=float)
         if len(w) != len(rows):
             raise ValueError("one weight per vector required")
+        for name, values in (("vectors", rows), ("weights", w)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"frame {name} must be finite")
         if np.any(w <= 0):
             raise ValueError("frame weights must be positive")
         resolution, norms = _frame_sums(rows, w)
@@ -254,11 +262,12 @@ class FiniteFrame:
 
 def _check_resolution(resolution: np.ndarray, weights: np.ndarray) -> None:
     """Refuse unless sum_i kappa_i |u_i><u_i| = ``resolution`` is the identity
-    and the weights kappa_i sum to d."""
+    and the weights kappa_i sum to d; a NaN in either refuses."""
     d = len(resolution)
-    if np.max(np.abs(resolution - np.eye(d))) > 1e-10:
+    # written as "not <=", so that a NaN fails
+    if not np.max(np.abs(resolution - np.eye(d))) <= 1e-10:
         raise ValueError("weighted vectors do not resolve the identity")
-    if abs(weights.sum() - d) > 1e-10:
+    if not abs(weights.sum() - d) <= 1e-10:
         raise ValueError(f"weights sum to {weights.sum():.12g}, expected d = {d}")
 
 

@@ -267,8 +267,11 @@ def fractional_fourier(dim: GridDim, alpha: float) -> LinearOperator:
 
     The exponent branch e^{-i pi n alpha/2} is continuous in alpha and matches
     (-i)^n at integers; F^0 is the identity and F^1 the Fourier transform.
-    The Harper basis is the grid's cached ``harper_basis(dim)``.
+    The Harper basis is the grid's cached ``harper_basis(dim)``.  A NaN or
+    infinite alpha raises ``InputError``.
     """
+    if not math.isfinite(alpha):
+        raise InputError(f"fractional Fourier power alpha must be finite, got {alpha}")
     V = harper_basis(dim).columns
     w = np.exp(-0.5j * np.pi * np.arange(dim.d) * alpha)
     return _adopt(LinearOperator, dim, (V * w) @ V.conj().T)

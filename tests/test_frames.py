@@ -426,6 +426,24 @@ class TestFrameAnalysis:
                 np.ones(3),
             )
 
+    def test_finite_frame_refuses_a_nan_weight(self, d3):
+        with pytest.raises(ValueError, match="frame weights must be finite"):
+            FiniteFrame(d3, np.eye(3), [1.0, 1.0, math.nan])
+
+    def test_finite_frame_refuses_a_nan_vector_entry(self, d3):
+        vectors = np.eye(3)
+        vectors[0, 0] = math.nan
+        with pytest.raises(ValueError, match="frame vectors must be finite"):
+            FiniteFrame(d3, vectors, np.ones(3))
+
+    def test_resolution_check_fails_closed_on_nan(self):
+        resolution = np.eye(3)
+        resolution[0, 0] = math.nan
+        with pytest.raises(ValueError, match="resolve the identity"):
+            frames._check_resolution(resolution, np.ones(3))
+        with pytest.raises(ValueError, match="weights sum"):
+            frames._check_resolution(np.eye(3), np.array([1.0, 1.0, math.nan]))
+
 
 def gamma(n):
     """gamma_n = n u / (1 - n u): an n-term floating-point sum or dot product
@@ -815,7 +833,7 @@ class TestCoherentResolutionPerAlpha:
 
 
 def _mutant_schwinger(defect):
-    """frames.schwinger with one defect, for the structural relation check."""
+    """frames.schwinger with one defect, for the pin of the public powers."""
     orig = frames.schwinger
 
     def mutant(dim, which, power=1):
@@ -875,9 +893,60 @@ class TestIntegerSymbolLabels:
             assert np.array_equal(frame_hamiltonian(dim, family).matrix, expected.matrix)
 
 
+def weyl_scatter(dim, alpha, beta):
+    """frames._weyl's entry of each row n, placed in column n - alpha of a dense matrix."""
+    m, i = np.zeros((dim.d, dim.d), dtype=complex), np.arange(dim.d)
+    m[i, (i - alpha) % dim.d] = frames._weyl(dim, alpha, beta)
+    return m
+
+
+def powers_equal_weyl_scatter(dim):
+    """Whether every public power A^p, B^p, p in [-d, 2d), is the scatter of
+    the structured form that schwinger-relations reads, bit for bit."""
+    return all(
+        np.array_equal(frames.schwinger(dim, "A", p).matrix, weyl_scatter(dim, p, 0))
+        and np.array_equal(frames.schwinger(dim, "B", p).matrix, weyl_scatter(dim, 0, p))
+        for p in range(-dim.d, 2 * dim.d)
+    )
+
+
+def _mutant_weyl(defect):
+    """frames._weyl with one defect, for the structural relation check."""
+    orig = frames._weyl
+
+    def mutant(dim, alpha, beta):
+        if defect == "wrong-shift":  # every entry as if for the label alpha + 1
+            return orig(dim, np.asarray(alpha) + 1, beta)
+        out = orig(dim, alpha, beta)
+        if defect == "wrong-phase":  # the entry of row 0 of B^1 only, off by e^{2 pi i/d}
+            hit = ((np.asarray(alpha) == 0) & (np.asarray(beta) == 1))[..., None] & (dim.indices() == 0)
+            return np.where(hit, out * _phase(dim.d, 2), out)
+        assert defect == "a-power-d-not-one"  # A^a times e^{i pi a/d}, so A^d = -1
+        return out * _phase(dim.d, np.asarray(alpha))[..., None]
+
+    return mutant
+
+
+class TestPublicPowersPinnedToWeyl:
+    """schwinger-relations reads frames._weyl, not the public operators; these
+    pin every public power and displacement to the scatter of that form."""
+
+    @pytest.mark.parametrize("d", [15, 131])
+    def test_schwinger_powers(self, d):
+        assert powers_equal_weyl_scatter(GridDim.from_size(d))
+
+    def test_displacements(self):
+        dim = GridDim.from_size(15)
+        labels = far_labels(dim.d) + list(dim.indices())
+        for alpha in labels:
+            for beta in labels:
+                assert np.array_equal(displacement(dim, alpha, beta).matrix, weyl_scatter(dim, alpha, beta))
+
+
 class TestStructuralSchwingerRelations:
-    """schwinger-relations reads the one nonzero per row of each operator and
-    checks A^a B^b = e^{-2 pi i ab/d} B^b A^a on those entries, all d^2 labels."""
+    """schwinger-relations reads the one nonzero per row of each power off the
+    structured form frames._weyl and checks A^a B^b = e^{-2 pi i ab/d} B^b A^a
+    on those entries, all d^2 labels."""
 
     @pytest.mark.parametrize("d", [3, 131, 201])
     def test_pass(self, d):
@@ -892,9 +961,24 @@ class TestStructuralSchwingerRelations:
     )
     @pytest.mark.parametrize("d", [15, 131])
     def test_defects_fail(self, d, defect, monkeypatch):
+        """A defect in the public powers breaks their pin to the form the check reads."""
         monkeypatch.setattr(frames, "schwinger", _mutant_schwinger(defect))
+        assert not powers_equal_weyl_scatter(GridDim.from_size(d))
+
+    @pytest.mark.parametrize("defect", ["wrong-phase", "wrong-shift", "a-power-d-not-one"])
+    @pytest.mark.parametrize("d", [15, 131])
+    def test_form_defects_fail(self, d, defect, monkeypatch):
+        monkeypatch.setattr(frames, "_weyl", _mutant_weyl(defect))
         result = _schwinger_relations(GridDim.from_size(d))
         assert not result.passed, result.detail
+
+    def test_reads_no_public_operator(self, d7, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("schwinger-relations built a public operator")
+
+        monkeypatch.setattr(frames, "schwinger", refuse)
+        monkeypatch.setattr(frames, "displacement", refuse)
+        assert _schwinger_relations(d7).passed
 
 
 class TestCoherentFourierCovarianceCoverage:
@@ -1069,6 +1153,14 @@ class TestArraySymbols:
     def test_wrong_shape_is_an_input_error(self, d7, shape):
         with pytest.raises(InputError, match="shape"):
             quantize(coherent_family(d7, Family.G1), np.ones(shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_symbol_is_an_input_error(self, d7, value):
+        fam = coherent_family(d7, Family.G1)
+        with pytest.raises(InputError, match="finite"):
+            quantize(fam, np.full((d7.d, d7.d), value))
+        with pytest.raises(InputError, match="finite"):
+            quantize(fam, lambda a, b: value if (a, b) == (1, -2) else 1.0)
 
     def test_frame_hamiltonian_passes_a_table(self, d7, monkeypatch):
         seen = []

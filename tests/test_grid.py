@@ -32,6 +32,7 @@ from finosc.oscillators import (
     deformed_fourier_hamiltonian,
     detect_revivals,
     fourier_hamiltonian,
+    fractional_fourier,
     frame_hamiltonian,
     gram_schmidt_oscillator,
     hamiltonian,
@@ -118,6 +119,8 @@ class TestInputError:
             lambda dim: kravchuk_polynomial(dim, 7, 0),
             lambda dim: kravchuk_function(dim, 0, -3),
             lambda dim: kravchuk_function_hypergeometric(dim, 3, 0),
+            lambda dim: fractional_fourier(dim, math.nan),
+            lambda dim: fractional_fourier(dim, math.inf),
         ],
         ids=[
             "even-dim",
@@ -158,6 +161,8 @@ class TestInputError:
             "kravchuk-polynomial-m-7",
             "kravchuk-function-n-minus-3",
             "kravchuk-hypergeometric-m-3",
+            "fractional-fourier-nan-alpha",
+            "fractional-fourier-inf-alpha",
         ],
     )
     def test_library_rules_raise_input_error(self, call):
