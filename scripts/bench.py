@@ -2,7 +2,7 @@
 """Time the Kravchuk, frames, Gaussian, Harper basis, spectrum, revival and
 Wigner layers of one or more source trees of finosc.
 
-Twelve cells are timed at each dimension, every run starting from empty
+Thirteen cells are timed at each dimension, every run starting from empty
 Kravchuk, coherent-family, Gaussian, Fourier and Harper caches:
 
 * ``kravchuk_table``: building the table of K_m(n) and curly-K_m(n);
@@ -15,6 +15,8 @@ Kravchuk, coherent-family, Gaussian, Fourier and Harper caches:
   CSV to a file;
 * ``check_gaussians``: the Gaussian and theta identity checks that
   ``finosc verify`` runs;
+* ``cli_gaussian``: ``finosc gaussian --family g1 --kappa 1 --dim d`` writing
+  its CSV to a file;
 * ``frame_hamiltonian``: quantizing the harmonic symbol over the g1 coherent
   family (``frame_hamiltonian(dim, 1)``);
 * ``harper_basis``: building the Harper eigenbasis (``harper_basis(dim)``);
@@ -81,6 +83,7 @@ CELLS = {
     "check_frames": lambda finosc, dim: _passed(finosc.checks._check_frames(dim)),
     "cli_frame_check": ["frame-check", "--family", "g4"],
     "check_gaussians": lambda finosc, dim: _passed(finosc.checks._check_gaussians(dim)),
+    "cli_gaussian": ["gaussian", "--family", "g1", "--kappa", "1"],
     "frame_hamiltonian": lambda finosc, dim: _ok(finosc.oscillators.frame_hamiltonian(dim, 1)),
     "harper_basis": lambda finosc, dim: _ok(finosc.oscillators.harper_basis(dim)),
     "cli_spectrum": ["spectrum", "--kind", "harper"],

@@ -416,10 +416,13 @@ def _schwinger_relations(dim: GridDim) -> CheckResult:
     row entries that frames._weyl gives (row n of D(a, b) holds its one nonzero in
     column n - a): with va, vb the entries of A^a, B^b, row n of A^a B^b holds
     va(n) vb(n - a) and row n of B^b A^a holds vb(n) va(n), both in column n - a,
-    so one cyclic roll of the B table lines the two sides up."""
+    so one cyclic roll of the B table lines the two sides up.  The relation cancels
+    va and a constant phase of vb, so every entry of A^a and of B^b at n = 0 must
+    also equal 1."""
     d, n = dim.d, dim.indices()
     err = max(float(np.max(np.abs(frames._weyl(dim, *p) - 1))) for p in ((d, 0), (0, d)))
     A, B = frames._weyl(dim, n, 0), frames._weyl(dim, 0, n)  # [a + j, n + j], [b + j, n + j]
+    err = max(err, float(np.max(np.abs(A - 1))), float(np.max(np.abs(B[:, dim.j] - 1))))
     for a, va in zip(n, A):
         rhs = _phase(d, -2 * a * n)[:, None] * (B * va)
         err = max(err, float(np.max(np.abs(va * np.roll(B, a, axis=1) - rhs))))

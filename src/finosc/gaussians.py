@@ -33,6 +33,9 @@ __all__ = [
 SERIES_REL_TOL = 1e-18
 SERIES_MIN_TERMS = 3
 _SERIES_CAP = 10_000
+# np.linalg.norm sums the squares unscaled: below this norm they are subnormal
+# or 0, so the norm is inexact or 0
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
 _GAUSSIAN_CACHE_SIZE = 256  # profiles kept, keyed by dimension, family and float kappa
 
 
@@ -74,25 +77,25 @@ def _check_kappa(family: Family, kappa: float | None) -> float:
 
 
 def _paired_sum(pair, envelope, series: str):
-    """Sum pair(a) over a = 0, 1, 2, ... of a mirror-paired lattice series.
+    """Sum pair(a) over a = 0, 1, 2, ... of mirror-paired lattice series, one
+    series per array entry: the one loop over lattice offsets in this module.
 
     ``pair(a)`` is the combined contribution of the mirror pair at offset a,
-    and ``envelope(a)`` bounds |pair(a)| and, past its peak, every later pair.
-    Stops once envelope(a + 1) is at most SERIES_REL_TOL times the larger of
-    the partial sum and the peak pair, after at least SERIES_MIN_TERMS pairs.
-    The envelope, not the pair value, drives the decision because an
-    oscillatory factor can make single pairs vanish long before the tail is
-    negligible; before its peak the envelope exceeds every pair so far, so
-    the rule cannot stop there.
+    and ``envelope(a)`` (per entry, or one for all) bounds |pair(a)| and, past
+    its peak, every later pair.  Stops once, for every entry, envelope(a + 1)
+    is at most SERIES_REL_TOL times the larger of the partial sum and the peak
+    pair, after at least SERIES_MIN_TERMS pairs.  The envelope, not the pair
+    value, drives the decision because an oscillatory factor can make single
+    pairs vanish long before the tail is negligible; before its peak the
+    envelope exceeds every pair so far, so the rule cannot stop there.
     """
-    total = pair(0)
-    peak = abs(total)
-    for a in range(1, _SERIES_CAP + 1):
+    total = peak = 0.0
+    for a in range(_SERIES_CAP + 1):
         t = pair(a)
         total += t
-        peak = max(peak, abs(t))
+        peak = np.maximum(peak, np.abs(t))
         # <=, so a sum that underflows to 0 stops on an envelope that does too
-        if a >= SERIES_MIN_TERMS and envelope(a + 1) <= SERIES_REL_TOL * max(abs(total), peak):
+        if a >= SERIES_MIN_TERMS and np.all(envelope(a + 1) <= SERIES_REL_TOL * np.maximum(np.abs(total), peak)):
             return total
     raise ValueError(f"{series} did not converge within {_SERIES_CAP} pairs")
 
@@ -102,11 +105,10 @@ def theta(kind: int, z, tau: complex) -> complex | np.ndarray:
 
     theta_3(z,tau) = sum_a e^{i pi tau a^2} e^{2 pi i a z}; theta_4 carries the
     alternating sign (-1)^a and theta_2 runs over half-integers a + 1/2.
-    Requires Im(tau) > 0 for convergence.  ``z`` may be an array: the series
-    is summed once over the lattice offsets, each term an array over every z,
-    and the result has the shape of z (a Python complex for a scalar z).  It
-    stops by the rule of ``_paired_sum``, once that holds for every entry,
-    with the envelope growing at the largest |Im z|.
+    Requires Im(tau) > 0 for convergence.  ``z`` may be an array: each pair
+    handed to ``_paired_sum`` is an array over every z, with one envelope for
+    all entries, growing at the largest |Im z|.  The result has the shape of z
+    (a Python complex for a scalar z).
     """
     if kind not in (2, 3, 4):
         raise InputError(f"theta kind must be 2, 3 or 4, got {kind}")
@@ -123,40 +125,46 @@ def theta(kind: int, z, tau: complex) -> complex | np.ndarray:
     growth = 2.0 * math.pi * float(np.max(np.abs(zs.imag), initial=0.0))
     shift = 0.5 if kind == 2 else 0.0
     sign = -1.0 if kind == 4 else 1.0
-    total = np.zeros(zs.shape, dtype=complex)
-    peak = np.zeros(zs.shape)
-    # pair a holds the lattice points +-x, x = a + shift, each term
-    # e^{i pi tau x^2 +- 2 pi i x z}; x = 0 is the single term 1
-    for a in range(_SERIES_CAP + 1):
+
+    def pair(a):
+        # the lattice points +-x, x = a + shift, each term
+        # e^{i pi tau x^2 +- 2 pi i x z}; x = 0 is the single term 1
         x = a + shift
         if x == 0.0:
-            t = np.ones(zs.shape, dtype=complex)
-        else:
-            c, b = 1j * math.pi * tau * x * x, 2j * math.pi * x
-            t = sign**a * (np.exp(c + b * zs) + np.exp(c - b * zs))
-        total += t
-        peak = np.maximum(peak, np.abs(t))
-        if a < SERIES_MIN_TERMS:
-            continue
-        arg = -decay * (x + 1) ** 2 + growth * (x + 1)
-        envelope = 2.0 * math.exp(arg) if arg < 700.0 else math.inf
-        # <=, so a sum that underflows to 0 stops on an envelope that does too
-        if envelope <= SERIES_REL_TOL * np.min(np.maximum(np.abs(total), peak), initial=math.inf):
-            return complex(total) if total.ndim == 0 else total
+            return np.ones(zs.shape, dtype=complex)
+        c, b = 1j * math.pi * tau * x * x, 2j * math.pi * x
+        return sign**a * (np.exp(c + b * zs) + np.exp(c - b * zs))
+
+    def envelope(a):
+        x = a + shift
+        arg = -decay * x**2 + growth * x
+        return 2.0 * math.exp(arg) if arg < 700.0 else math.inf
+
     where = f"z = {complex(zs)}" if zs.ndim == 0 else f"{zs.size} points z"
-    raise ValueError(f"theta_{kind} series at {where}, tau = {tau} did not converge within {_SERIES_CAP} pairs")
+    total = _paired_sum(pair, envelope, f"theta_{kind} series at {where}, tau = {tau}")
+    return complex(total) if total.ndim == 0 else total
 
 
-def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: bool) -> float:
-    """sum_a (+-1)^a exp(-kappa pi ((a + offset) d + n)^2 / d), paired symmetrically.
+def _termwise(f, x: np.ndarray) -> np.ndarray:
+    """f(x) entry by entry, f from the math module: numpy's exp rounds some
+    arguments differently, which would move lattice values, and the CSV bytes
+    that golden hashes pin, by an ulp."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
 
-    Both members of pair a lie at least (a + offset) d - |n| from the origin,
-    which is positive for a >= 1 since |n| <= j < d/2.
+
+def _lattice_profile(d: int, kappa: float, offset: float, alternating: bool) -> np.ndarray:
+    """sum_a (+-1)^a exp(-kappa pi ((a + offset) d + n)^2 / d) for n = 0..j, paired
+    symmetrically and summed for all n at once.
+
+    Both members of pair a lie at least (a + offset) d - n from the origin,
+    which is positive for a >= 1 since n <= j < d/2.
 
     Where kappa d < 1 the alternating terms cancel, so that sum is taken in
     its Poisson dual instead, whose terms do not cancel:
     (2 / sqrt(kappa d)) sum_{k>=1} e^{-pi (k-1/2)^2 / (kappa d)} cos((2k-1) pi n / d).
+    Each term is math.exp (math.cos) of its own argument; see ``_termwise``.
     """
+    n = np.arange(d // 2 + 1)
     if alternating and kappa * d < 1.0:
         t = kappa * d
         scale = 2.0 / math.sqrt(t)
@@ -165,26 +173,21 @@ def _lattice_value(d: int, kappa: float, n: int, offset: float, alternating: boo
             return scale * exp(-math.pi * (a + 0.5) ** 2 / t)
 
         def dual_pair(a):
-            return dual_envelope(a) * math.cos((2 * a + 1) * math.pi * n / d)
+            return dual_envelope(a) * _termwise(math.cos, (2 * a + 1) * math.pi * n / d)
 
         return _paired_sum(dual_pair, dual_envelope, f"dual lattice series at kappa = {kappa:g}, d = {d}")
 
     c = kappa * np.pi / d
-    reach = offset * d - abs(n)
+
+    def term(x):  # e^{-c (x d + n)^2} at every n
+        return _termwise(exp, -c * (x * d + n) ** 2)
 
     def pair(a):
-        if offset == 0.0:
-            xs = (a,) if a == 0 else (a, -a)
-        else:
-            xs = (a, -1 - a)
-        out = 0.0
-        for alpha in xs:
-            t = exp(-c * ((alpha + offset) * d + n) ** 2)
-            out += -t if (alternating and alpha % 2) else t
-        return out
+        s = term(a + offset) + (term(-a - offset) if a + offset else 0.0)
+        return -s if alternating and a % 2 else s
 
-    def envelope(a):
-        return 2.0 * exp(-c * (a * d + reach) ** 2)
+    def envelope(a):  # twice the nearer member's term
+        return 2.0 * term(-a - offset)
 
     return _paired_sum(pair, envelope, f"lattice series at kappa = {kappa:g}, d = {d}")
 
@@ -202,9 +205,9 @@ def _gaussian_cached(dim: GridDim, family: Family, kappa: float) -> GridFunction
     elif family is Family.G5:
         half = [np.cos(n * np.pi / d) ** (2 * j) / np.sqrt(d) for n in range(j + 1)]
     else:
-        offset, alt = _LATTICE[family]
-        sign = -1.0 if alt else 1.0
-        half = [sign**n * _lattice_value(d, kappa, n, offset, alt) for n in range(j + 1)]
+        half = _lattice_profile(d, kappa, *_LATTICE[family])
+        if family is Family.G3:
+            half[1::2] = -half[1::2]
     # mirror so that value(-n) == value(n) holds exactly
     half = np.array(half)
     return GridFunction(dim, np.concatenate([half[:0:-1], half]))
@@ -216,9 +219,17 @@ def gaussian(dim: GridDim, family: Family, kappa: float | None = None) -> GridFu
 
 
 def normalized_gaussian(dim: GridDim, family: Family, kappa: float | None = None) -> GridFunction:
-    """gaussian(...) scaled to unit l2 norm."""
+    """gaussian(...) scaled to unit l2 norm.  Below a norm of _NORM_FLOOR (g2,
+    which peaks at e^{-kappa pi/(4d)}, once kappa exceeds about 451 d) it
+    raises ValueError rather than divide by an inexact or zero norm."""
     g = gaussian(dim, family, kappa)
-    return g / g.norm()
+    norm = g.norm()
+    if not norm >= _NORM_FLOOR:
+        raise ValueError(
+            f"{family.value} at kappa = {_check_kappa(family, kappa):g}, d = {dim.d} cannot be "
+            f"normalized: its norm {norm:.3g} is below {_NORM_FLOOR:.2g}, where its squares underflow"
+        )
+    return g / norm
 
 
 def norm_squared_closed_form(dim: GridDim, family: Family, kappa: float | None = None) -> float:

@@ -82,6 +82,7 @@ class GridDim:
 
     @classmethod
     def from_size(cls, d: int) -> "GridDim":
+        d = _check_integer("dimension", d)
         if d < 3 or d % 2 == 0:
             raise InputError(f"dimension must be odd and >= 3, got {d}")
         return cls((d - 1) // 2)

@@ -396,6 +396,16 @@ class TestGaussianCommand:
         assert (code, out, path.exists()) == (1, "", False)
         assert err == "computation failed: lattice series at kappa = 1e-09, d = 3 did not converge within 10000 pairs\n"
 
+    @pytest.mark.parametrize("command", ["gaussian", "wigner"])
+    def test_profile_whose_norm_underflows_exits_1(self, capsys, command):
+        # g2 at kappa = 1e6 underflows to 0 at every n of d = 11
+        code, out, err = run_cli(capsys, command, "--family", "g2", "--kappa", "1e6", "--dim", "11")
+        assert (code, out) == (1, "")
+        assert err == (
+            "computation failed: g2 at kappa = 1e+06, d = 11 cannot be normalized: "
+            "its norm 0 is below 1.5e-154, where its squares underflow\n"
+        )
+
 
 class TestWignerCommand:
     def test_delta_state_d7(self, capsys):

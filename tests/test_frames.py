@@ -921,6 +921,12 @@ def _mutant_weyl(defect):
         if defect == "wrong-phase":  # the entry of row 0 of B^1 only, off by e^{2 pi i/d}
             hit = ((np.asarray(alpha) == 0) & (np.asarray(beta) == 1))[..., None] & (dim.indices() == 0)
             return np.where(hit, out * _phase(dim.d, 2), out)
+        if defect == "a-entry-phase":  # the entry of row 0 of A^2 only, times e^{0.3i}
+            hit = ((np.asarray(alpha) == 2) & (np.asarray(beta) == 0))[..., None] & (dim.indices() == 0)
+            return np.where(hit, out * np.exp(0.3j), out)
+        if defect == "b-constant-phase":  # every entry of B^2 times e^{0.3i}
+            hit = (np.asarray(alpha) == 0) & (np.asarray(beta) == 2)
+            return np.where(hit[..., None], out * np.exp(0.3j), out)
         assert defect == "a-power-d-not-one"  # A^a times e^{i pi a/d}, so A^d = -1
         return out * _phase(dim.d, np.asarray(alpha))[..., None]
 
@@ -965,7 +971,9 @@ class TestStructuralSchwingerRelations:
         monkeypatch.setattr(frames, "schwinger", _mutant_schwinger(defect))
         assert not powers_equal_weyl_scatter(GridDim.from_size(d))
 
-    @pytest.mark.parametrize("defect", ["wrong-phase", "wrong-shift", "a-power-d-not-one"])
+    @pytest.mark.parametrize(
+        "defect", ["wrong-phase", "wrong-shift", "a-power-d-not-one", "a-entry-phase", "b-constant-phase"]
+    )
     @pytest.mark.parametrize("d", [15, 131])
     def test_form_defects_fail(self, d, defect, monkeypatch):
         monkeypatch.setattr(frames, "_weyl", _mutant_weyl(defect))

@@ -105,19 +105,18 @@ class TestSeriesTruncation:
     @pytest.mark.parametrize("d", [3, 7, 9, 31, 101])
     @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1, 0.5, 1.0])
     def test_lattice_sums_equal_sums_run_to_underflow(self, d, kappa, monkeypatch):
-        lattice = gaussians._LATTICE.values()
-        args = [(n, offset, alt) for n in range(d // 2 + 1) for offset, alt in lattice]
-        got = [gaussians._lattice_value(d, kappa, *a) for a in args]
+        lattice = list(gaussians._LATTICE.values())
+        got = [gaussians._lattice_profile(d, kappa, *a) for a in lattice]
         # with a zero tolerance each sum runs until the envelope underflows
         monkeypatch.setattr(gaussians, "SERIES_REL_TOL", 0.0)
-        full = [gaussians._lattice_value(d, kappa, *a) for a in args]
-        for (_, _, alt), g, f in zip(args, got, full):
+        full = [gaussians._lattice_profile(d, kappa, *a) for a in lattice]
+        for (_, alt), g, f in zip(lattice, got, full):
             if alt:
                 # cancelling: the tail is below 1e-18 of the peak pair, of size at most 2
-                assert abs(g - f) <= 4e-18
+                assert np.max(np.abs(g - f)) <= 4e-18
             else:
                 # positive terms: the pairs left out change no bit
-                assert g == f
+                assert np.array_equal(g, f)
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     def test_theta_equals_sum_run_to_underflow(self, kind, monkeypatch):
@@ -149,6 +148,30 @@ class TestSeriesTruncation:
 
 
 class TestNormalizedValues:
+    @pytest.mark.parametrize(
+        "kappa, norm", [(1e6, "0"), (1e300, "0"), (5220.0, "0"), (5000.0, "1.28e-155")]
+    )
+    def test_profile_whose_norm_underflows_is_refused(self, kappa, norm):
+        # g2 at d = 11 peaks at e^{-kappa pi/44}: 0 from kappa = 1e4, and its
+        # square, the sum the norm is taken of, leaves the normal range first
+        dim = GridDim.from_size(11)
+        assert gaussian(dim, Family.G2, kappa).values.any() == (kappa < 1e4)
+        message = (
+            f"g2 at kappa = {kappa:g}, d = 11 cannot be normalized: its norm {norm} "
+            "is below 1.5e-154, where its squares underflow"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+            normalized_gaussian(dim, Family.G2, kappa)
+        assert not isinstance(refused.value, InputError)
+
+    def test_norm_just_above_the_floor_is_normalized(self):
+        # at kappa = 4900 (445 d) the norm is 1.6e-152: its squares stay normal
+        g = gaussian(GridDim.from_size(11), Family.G2, 4900.0).values.real
+        got = normalized_gaussian(GridDim.from_size(11), Family.G2, 4900.0).values.real
+        scaled = g / g.max()
+        assert np.array_equal(got, g / np.linalg.norm(g))
+        assert np.max(np.abs(got - scaled / np.linalg.norm(scaled))) <= 1e-15
+
     def test_g1_d3_radicals(self, d3):
         got = normalized_gaussian(d3, Family.G1).values.real
         a = 0.5 * math.sqrt(1 - S3)
@@ -182,6 +205,99 @@ class TestNormalizedValues:
         prob = normalized_gaussian(d15, Family.G2).values.real ** 2
         peaks = set(np.flatnonzero(prob == prob.max()) - d15.j)
         assert peaks == {-d15.j, d15.j}
+
+
+def lattice_value(d, kappa, n, offset, alternating):
+    """One lattice sum, for one n, by its own scalar loop under the rule of
+    gaussians._paired_sum; the profile is checked against it bit for bit."""
+    if alternating and kappa * d < 1.0:
+        t = kappa * d
+
+        def envelope(a):
+            return 2.0 / math.sqrt(t) * math.exp(-math.pi * (a + 0.5) ** 2 / t)
+
+        def pair(a):
+            return envelope(a) * math.cos((2 * a + 1) * math.pi * n / d)
+
+    else:
+        c = kappa * np.pi / d
+        reach = offset * d - abs(n)
+
+        def pair(a):
+            xs = ((a,) if a == 0 else (a, -a)) if offset == 0.0 else (a, -1 - a)
+            out = 0.0
+            for alpha in xs:
+                t = math.exp(-c * ((alpha + offset) * d + n) ** 2)
+                out += -t if (alternating and alpha % 2) else t
+            return out
+
+        def envelope(a):
+            return 2.0 * math.exp(-c * (a * d + reach) ** 2)
+
+    total = pair(0)
+    peak = abs(total)
+    for a in range(1, gaussians._SERIES_CAP + 1):
+        p = pair(a)
+        total += p
+        peak = max(peak, abs(p))
+        if a >= gaussians.SERIES_MIN_TERMS and envelope(a + 1) <= gaussians.SERIES_REL_TOL * max(abs(total), peak):
+            return total
+    raise AssertionError("the oracle's lattice series did not converge")
+
+
+ORACLE_KAPPAS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.695407, 1.0, 1.4, 2.0, 10.0, 50.0)
+
+
+class TestLatticeProfile:
+    """Each g1-g3 profile is one array sum over n = 0..j, bit for bit the
+    per-n scalar sums, in the direct and the Poisson-dual branch."""
+
+    @pytest.mark.parametrize("d", [*range(3, 62, 2), 101, 201, 401])
+    def test_profile_equals_per_n_sums(self, d):
+        dim = GridDim.from_size(d)
+        for kappa in ORACLE_KAPPAS:
+            for family, (offset, alt) in gaussians._LATTICE.items():
+                oracle = np.array([lattice_value(d, kappa, n, offset, alt) for n in range(dim.j + 1)])
+                got = gaussians._lattice_profile(d, kappa, offset, alt)
+                assert got.tobytes() == oracle.tobytes(), (kappa, family)
+                # the public profile: G3 carries (-1)^n, then the mirror image
+                half = oracle * (-1.0) ** np.arange(dim.j + 1) if alt else oracle
+                values = gaussian(dim, family, kappa).values
+                assert values.real.copy().tobytes() == np.concatenate([half[:0:-1], half]).tobytes()
+                assert not values.imag.any()
+
+
+def count_series_loops(monkeypatch):
+    """The names of the series that gaussians._paired_sum is called on, from now."""
+    calls = []
+    loop = gaussians._paired_sum
+
+    def counting(pair, envelope, series):
+        calls.append(series)
+        return loop(pair, envelope, series)
+
+    monkeypatch.setattr(gaussians, "_paired_sum", counting)
+    return calls
+
+
+class TestOneSeriesLoop:
+    @pytest.mark.parametrize("d", [15, 201])
+    @pytest.mark.parametrize(
+        "family, kappa", [(Family.G1, 1.0), (Family.G2, 0.3), (Family.G3, 1.0), (Family.G3, 1e-3)]
+    )
+    def test_one_uncached_profile_is_one_sum(self, d, family, kappa, monkeypatch):
+        # g3 at kappa = 1e-3 (kappa d < 1) takes the Poisson dual
+        dim = GridDim.from_size(d)
+        calls = count_series_loops(monkeypatch)
+        gaussians._gaussian_cached.__wrapped__(dim, family, kappa)
+        assert len(calls) == 1, calls
+        assert calls[0].startswith("dual" if kappa * d < 1 else "lattice")
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_theta_of_an_array_is_one_sum(self, kind, monkeypatch):
+        calls = count_series_loops(monkeypatch)
+        theta(kind, GridDim.from_size(201).indices() / 201, 1j / 201)
+        assert calls == [f"theta_{kind} series at 201 points z, tau = {1j / 201}"]
 
 
 MPMATH_POINTS = [(0.3, 0.7j), (0.0, 1j), (-0.45, 0.08j), (0.2 + 0.1j, 0.5 + 0.9j), (1.7, 2.3j)]

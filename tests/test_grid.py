@@ -59,6 +59,16 @@ class TestGridDim:
         with pytest.raises(ValueError):
             GridDim.from_size(bad)
 
+    @pytest.mark.parametrize("size", [5.5, math.nan, math.inf, -math.inf])
+    def test_refuses_a_size_that_is_not_an_integer_by_name(self, size):
+        with pytest.raises(InputError, match=f"^dimension must be an integer, got {size}$"):
+            GridDim.from_size(size)
+
+    @pytest.mark.parametrize("size", [7.0, np.float64(7.0), np.int64(7)])
+    def test_integral_size_of_any_type(self, size):
+        dim = GridDim.from_size(size)
+        assert dim == GridDim(3) and type(dim.j) is int and dim.d == 7
+
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
             GridDim(0)
@@ -121,6 +131,9 @@ class TestInputError:
             lambda dim: kravchuk_function_hypergeometric(dim, 3, 0),
             lambda dim: fractional_fourier(dim, math.nan),
             lambda dim: fractional_fourier(dim, math.inf),
+            lambda dim: GridDim.from_size(5.5),
+            lambda dim: GridDim.from_size(math.nan),
+            lambda dim: GridDim.from_size(math.inf),
         ],
         ids=[
             "even-dim",
@@ -163,6 +176,9 @@ class TestInputError:
             "kravchuk-hypergeometric-m-3",
             "fractional-fourier-nan-alpha",
             "fractional-fourier-inf-alpha",
+            "dimension-5.5",
+            "dimension-nan",
+            "dimension-inf",
         ],
     )
     def test_library_rules_raise_input_error(self, call):

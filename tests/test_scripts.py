@@ -51,6 +51,7 @@ def test_bench_d7(tmp_path):
         "check_gaussians",
         "check_kravchuk",
         "cli_frame_check",
+        "cli_gaussian",
         "cli_kravchuk_table",
         "cli_revival",
         "cli_spectrum",
@@ -71,7 +72,15 @@ def test_bench_d7(tmp_path):
     assert cells["check_gaussians"]["7"]["status"] == ["6/6 passed"]
     for cell in ("kravchuk_table", "frame_hamiltonian", "harper_basis"):
         assert cells[cell]["7"]["status"] == ["ok"]
-    cli_cells = ("cli_kravchuk_table", "cli_frame_check", "cli_spectrum", "cli_wigner", "cli_revival", "cli_verify")
+    cli_cells = (
+        "cli_kravchuk_table",
+        "cli_frame_check",
+        "cli_gaussian",
+        "cli_spectrum",
+        "cli_wigner",
+        "cli_revival",
+        "cli_verify",
+    )
     for cli_cell in cli_cells:
         assert cells[cli_cell]["7"]["status"] == ["exit 0"]
 
