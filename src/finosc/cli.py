@@ -265,7 +265,7 @@ def _cmd_revival(args: argparse.Namespace) -> int:
         horizon = 4.0 * math.pi
     psi = _pick_state(args)
     ts = np.linspace(0.0, horizon, args.samples)
-    fidelity = [abs(inner_product(psi, evolve_spectral(dec, psi, float(t)))) for t in ts]
+    fidelity = [abs(inner_product(psi, evolved)) for evolved in evolve_spectral(dec, psi, ts)]
     if args.format == "svg":
         _write_text(args, _svg_line(list(ts), fidelity))
         return 0

@@ -35,7 +35,8 @@ SERIES_MIN_TERMS = 3
 _SERIES_CAP = 10_000
 # np.linalg.norm sums the squares unscaled: below this norm they are subnormal
 # or 0, so the norm is inexact or 0
-_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
+_TINY = float(np.finfo(float).tiny)
+_NORM_FLOOR = math.sqrt(_TINY)
 _GAUSSIAN_CACHE_SIZE = 256  # profiles kept, keyed by dimension, family and float kappa
 
 
@@ -220,16 +221,22 @@ def gaussian(dim: GridDim, family: Family, kappa: float | None = None) -> GridFu
 
 def normalized_gaussian(dim: GridDim, family: Family, kappa: float | None = None) -> GridFunction:
     """gaussian(...) scaled to unit l2 norm.  Below a norm of _NORM_FLOOR (g2,
-    which peaks at e^{-kappa pi/(4d)}, once kappa exceeds about 451 d) it
-    raises ValueError rather than divide by an inexact or zero norm."""
+    which peaks at e^{-kappa pi/(4d)}, once kappa exceeds about 451 d), and
+    only there, the profile is divided by its peak before its norm is taken;
+    a subnormal peak (kappa above about 902 d) raises ValueError, since the
+    values themselves then carry few bits or are 0."""
     g = gaussian(dim, family, kappa)
     norm = g.norm()
-    if not norm >= _NORM_FLOOR:
+    if norm >= _NORM_FLOOR:
+        return g / norm
+    peak = float(np.max(np.abs(g.values)))
+    if not peak >= _TINY:
         raise ValueError(
             f"{family.value} at kappa = {_check_kappa(family, kappa):g}, d = {dim.d} cannot be "
-            f"normalized: its norm {norm:.3g} is below {_NORM_FLOOR:.2g}, where its squares underflow"
+            f"normalized: its peak {peak:.3g} is below {_TINY:.3g}, the smallest normal float"
         )
-    return g / norm
+    g = g / peak
+    return g / g.norm()
 
 
 def norm_squared_closed_form(dim: GridDim, family: Family, kappa: float | None = None) -> float:

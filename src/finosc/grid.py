@@ -60,10 +60,13 @@ def _check_tolerance(tol: float) -> None:
 def _check_integer(name: str, value) -> int:
     """``value`` as an int, once it is integral: a Python or numpy int, or a
     float such as 2.0.  A fractional part, NaN or an infinity raises
-    ``InputError`` naming it, so no label is truncated."""
+    ``InputError`` naming it, so no label is truncated; so does a value that
+    is not a real number, such as the string "7", which is never parsed."""
     try:
         return operator.index(value)
     except TypeError:
+        if not isinstance(value, numbers.Real):
+            raise InputError(f"{name} must be an integer, got {type(value).__name__} {value!r}") from None
         if not float(value).is_integer():
             raise InputError(f"{name} must be an integer, got {value}") from None
         return int(value)
@@ -438,42 +441,35 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(entry) / np.abs(entry))
 
 
-def _eigh(A: np.ndarray):
-    """LAPACK's ``numpy.linalg.eigh`` of a Hermitian array: ascending
-    eigenvalues and eigenvector columns; its failure raises ``ConvergenceError``."""
+def _lapack(solve, A: np.ndarray):
+    """``solve(A)`` for LAPACK's ``numpy.linalg.eigh`` or ``eigvalsh`` of a
+    Hermitian array; its failure raises ``ConvergenceError``."""
     try:
-        return np.linalg.eigh(A)
+        return solve(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
 
 
-def _sorted_eigenpairs(M: LinearOperator):
-    """Validate, symmetrize and solve: the Hermitian working copy, its
-    Frobenius norm and the eigenvalues in LAPACK's ascending order with their
-    eigenvectors as columns.  The zero matrix gives norm 0 and the identity."""
-    d = M.dim.d
+def _hermitian_working_copy(M: LinearOperator):
+    """Validate and symmetrize: the exact Hermitian working copy of M and its
+    Frobenius norm."""
     A = M.matrix
     if not np.all(np.isfinite(A)):
         raise ValueError("operator has non-finite entries")
     if not M.is_hermitian():
         raise ValueError("operator is not Hermitian within tolerance")
-    A = (A + A.conj().T) / 2.0  # exact Hermitian working copy
-
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0:
-        return A, norm, np.zeros(d), np.eye(d, dtype=complex)
-
-    vals, V = _eigh(A)
-    # eigh's eigenvalues already ascend; the column-major copy is kept because
-    # the cluster Gram-Schmidt's vdot rounds according to the memory layout
-    return A, norm, vals, np.asfortranarray(V)
+    A = (A + A.conj().T) / 2.0
+    return A, float(np.linalg.norm(A))
 
 
 def hermitian_eigenvalues(M: LinearOperator) -> np.ndarray:
-    """The ascending eigenvalues of a Hermitian operator, exactly those of
-    ``eigendecompose_hermitian(M)``, with the same errors; the eigenvector
-    convention and the residual are not computed."""
-    return _sorted_eigenpairs(M)[2]
+    """The ascending eigenvalues of a Hermitian operator, with the errors of
+    ``eigendecompose_hermitian(M)``, from LAPACK's values-only driver
+    (``numpy.linalg.eigvalsh``); zeros for the zero matrix.  They agree with
+    ``eigendecompose_hermitian(M).eigenvalues`` to rounding, not bit for bit;
+    no eigenvector or residual is computed."""
+    A, norm = _hermitian_working_copy(M)
+    return _lapack(np.linalg.eigvalsh, A) if norm else np.zeros(M.dim.d)
 
 
 def eigendecompose_hermitian(M: LinearOperator) -> SpectralDecomposition:
@@ -485,14 +481,18 @@ def eigendecompose_hermitian(M: LinearOperator) -> SpectralDecomposition:
     re-orthonormalized by modified Gram-Schmidt in index order, and each
     eigenvector carries the phase that makes its largest-magnitude entry real
     and positive.  Non-finite input, or input whose largest entry of M - M^+
-    exceeds 1e-10, raises ``ValueError``.  ``hermitian_eigenvalues`` gives
-    the eigenvalues alone.
+    exceeds 1e-10, raises ``ValueError``.  ``hermitian_eigenvalues`` solves
+    for the eigenvalues alone.
     """
     dim = M.dim
     d = dim.d
-    A, norm, vals, V = _sorted_eigenpairs(M)
+    A, norm = _hermitian_working_copy(M)
     if norm == 0.0:
-        return _adopt(SpectralDecomposition, dim, vals, V, 0.0)
+        return _adopt(SpectralDecomposition, dim, np.zeros(d), np.eye(d, dtype=complex), 0.0)
+    vals, V = _lapack(np.linalg.eigh, A)
+    # eigh's eigenvalues already ascend; the column-major copy is kept because
+    # the cluster Gram-Schmidt's vdot rounds according to the memory layout
+    V = np.asfortranarray(V)
 
     # re-orthonormalize degenerate clusters in index order
     start = 0

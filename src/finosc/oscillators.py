@@ -30,7 +30,7 @@ from .grid import (
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _eigh, _readonly_copy, _stack, _views
+from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _lapack, _readonly_copy, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -238,7 +238,7 @@ def harper_basis(dim: GridDim) -> HarperBasis:
     d = dim.d
     H = harper_hamiltonian(dim).matrix.real
     F = fourier_operator(dim).matrix
-    w, U = _eigh(F.real - 2.0 * F.imag)
+    w, U = _lapack(np.linalg.eigh, F.real - 2.0 * F.imag)
     columns, energies = np.empty((d, d)), np.empty(d)
     for r, t in enumerate((1.0, 2.0, -1.0, -2.0)):
         Q = U[:, np.abs(w - t) < 0.5]
@@ -247,7 +247,7 @@ def harper_basis(dim: GridDim) -> HarperBasis:
                 f"Fourier class {r} has dimension {Q.shape[1]}, not {len(range(r, d, 4))}: "
                 f"Fourier classes are not separated at {dim}"
             )
-        e, W = _eigh(Q.T @ H @ Q)
+        e, W = _lapack(np.linalg.eigh, Q.T @ H @ Q)
         gaps = np.diff(e)
         if np.any(gaps < _DEGENERACY_GAP):
             k = int(np.argmin(gaps))
@@ -383,11 +383,26 @@ def kravchuk_functions_via_orthonormalization(dim: GridDim) -> tuple[GridFunctio
 # ---------------------------------------------------------------------------
 
 
-def evolve_spectral(dec: SpectralDecomposition, psi: GridFunction, t: float) -> GridFunction:
-    """e^{-i t H} psi from a precomputed spectral decomposition."""
+def evolve_spectral(
+    dec: SpectralDecomposition, psi: GridFunction, t: float | np.ndarray
+) -> GridFunction | tuple[GridFunction, ...]:
+    """e^{-i t H} psi from a precomputed spectral decomposition.
+
+    ``t`` is one time, giving a GridFunction, or a 1-D array of S times,
+    giving a tuple of S GridFunction views of one (S, d) array; V^H psi is
+    formed once.  Row s equals the call at ``float(t[s])`` bit for bit:
+    numpy's stacked matmul solves each row by the one matrix-vector product
+    the scalar call makes, where a single (S, d) x (d, d) product would round
+    differently.  Any other shape of ``t`` raises ``InputError``."""
     V = dec.columns
     coeff = V.conj().T @ psi.values
-    return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
+    if np.ndim(t) == 0:
+        return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise InputError(f"times must be one value or a 1-D array, got shape {t.shape}")
+    rows = np.exp(-1j * t[:, None] * dec.eigenvalues) * coeff
+    return _views(dec.dim, (V @ rows[:, :, None])[:, :, 0])
 
 
 def evolve(H: LinearOperator, psi: GridFunction, t: float) -> GridFunction:

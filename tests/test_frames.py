@@ -34,6 +34,7 @@ from finosc.grid import (
     eigendecompose_hermitian,
     fourier_operator,
     fourier_transform,
+    hermitian_eigenvalues,
     inner_product,
 )
 from finosc.grid import _phase
@@ -285,7 +286,7 @@ class TestFrameAnalysis:
         # reference: the frame operator read off the real Gram matrix of the
         # rows as one (d^2, 2d) real array
         S = rank_k_sum(np.array([v.values for v in objects]))
-        expected = eigendecompose_hermitian(LinearOperator(dim, S)).eigenvalues
+        expected = hermitian_eigenvalues(LinearOperator(dim, S))
         assert by_array.lower == by_objects.lower == expected[0]
         assert by_array.upper == by_objects.upper == expected[-1]
         assert by_array.frame is not None and by_objects.frame is not None

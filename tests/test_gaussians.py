@@ -148,24 +148,34 @@ class TestSeriesTruncation:
 
 
 class TestNormalizedValues:
-    @pytest.mark.parametrize(
-        "kappa, norm", [(1e6, "0"), (1e300, "0"), (5220.0, "0"), (5000.0, "1.28e-155")]
-    )
-    def test_profile_whose_norm_underflows_is_refused(self, kappa, norm):
-        # g2 at d = 11 peaks at e^{-kappa pi/44}: 0 from kappa = 1e4, and its
-        # square, the sum the norm is taken of, leaves the normal range first
+    @pytest.mark.parametrize("kappa, peak", [(1e6, "0"), (1e300, "0"), (9950.0, "2.92e-309")])
+    def test_profile_whose_norm_underflows_is_refused(self, kappa, peak):
+        # g2 at d = 11 peaks at e^{-kappa pi/44}: subnormal from kappa = 9920
+        # (902 d) and 0 from kappa = 1e4, so the values carry few bits or none
         dim = GridDim.from_size(11)
         assert gaussian(dim, Family.G2, kappa).values.any() == (kappa < 1e4)
         message = (
-            f"g2 at kappa = {kappa:g}, d = 11 cannot be normalized: its norm {norm} "
-            "is below 1.5e-154, where its squares underflow"
+            f"g2 at kappa = {kappa:g}, d = 11 cannot be normalized: its peak {peak} "
+            "is below 2.23e-308, the smallest normal float"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
             normalized_gaussian(dim, Family.G2, kappa)
         assert not isinstance(refused.value, InputError)
 
+    @pytest.mark.parametrize("kappa", [5000.0, 5220.0, 6000.0, 9900.0])
+    def test_norm_below_the_floor_is_taken_after_the_peak(self, kappa):
+        # from kappa = 4960 (451 d) the unscaled norm is below 1.5e-154, inexact
+        # or 0; the profile divided by its normal peak has a norm near 1
+        g = gaussian(GridDim.from_size(11), Family.G2, kappa).values.real
+        assert np.linalg.norm(g) < gaussians._NORM_FLOOR and g.max() >= 2.3e-308
+        got = normalized_gaussian(GridDim.from_size(11), Family.G2, kappa).values.real
+        scaled = g / g.max()
+        assert np.array_equal(got, scaled / np.linalg.norm(scaled))
+        assert abs(np.linalg.norm(got) - 1.0) <= 4e-16
+
     def test_norm_just_above_the_floor_is_normalized(self):
-        # at kappa = 4900 (445 d) the norm is 1.6e-152: its squares stay normal
+        # at kappa = 4900 (445 d) the norm is 1.6e-152: its squares stay normal,
+        # so the profile is divided by its norm alone, as it always was
         g = gaussian(GridDim.from_size(11), Family.G2, 4900.0).values.real
         got = normalized_gaussian(GridDim.from_size(11), Family.G2, 4900.0).values.real
         scaled = g / g.max()

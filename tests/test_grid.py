@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestGridDim:
     @pytest.mark.parametrize("size", [5.5, math.nan, math.inf, -math.inf])
     def test_refuses_a_size_that_is_not_an_integer_by_name(self, size):
         with pytest.raises(InputError, match=f"^dimension must be an integer, got {size}$"):
+            GridDim.from_size(size)
+
+    @pytest.mark.parametrize(
+        "size, shown", [("7", "str '7'"), (b"7", "bytes b'7'"), ("abc", "str 'abc'"), (None, "NoneType None")]
+    )
+    def test_refuses_a_size_that_is_not_a_number_by_name(self, size, shown):
+        with pytest.raises(InputError, match=f"^dimension must be an integer, got {re.escape(shown)}$"):
             GridDim.from_size(size)
 
     @pytest.mark.parametrize("size", [7.0, np.float64(7.0), np.int64(7)])
@@ -212,6 +220,14 @@ class TestIntegerLabels:
     def test_fractional_label_is_refused(self, route, value):
         call, name = LABEL_ROUTES[route]
         with pytest.raises(InputError, match=f"^{name} must be an integer, got {value}$"):
+            call(GridDim.from_size(5), value)
+
+    @pytest.mark.parametrize("value", ["1", b"1", "abc", None, 1j], ids=["str", "bytes", "word", "none", "complex"])
+    @pytest.mark.parametrize("route", LABEL_ROUTES)
+    def test_label_that_is_not_a_real_number_is_refused(self, route, value):
+        call, name = LABEL_ROUTES[route]
+        message = f"^{name} must be an integer, got {type(value).__name__} {re.escape(repr(value))}$"
+        with pytest.raises(InputError, match=message):
             call(GridDim.from_size(5), value)
 
     @pytest.mark.parametrize("value", [2, np.int64(2), 2.0], ids=["int", "int64", "float"])
@@ -673,19 +689,30 @@ def special_operators(dim):
     ]
 
 
+# two backward-stable solves of one matrix differ in each eigenvalue by at most
+# the sum of their backward errors, each taken as d u ||A||_F (Weyl)
+EIGENVALUE_ROUTE_C = 2.0
+
+
 def assert_matches_loop_reference(M):
     dec = eigendecompose_hermitian(M)
     vals, columns = loop_eigendecompose(M)
-    assert np.array_equal(hermitian_eigenvalues(M), dec.eigenvalues)
+    A = (M.matrix + M.matrix.conj().T) / 2.0
+    got = hermitian_eigenvalues(M)
+    assert np.array_equal(got, np.linalg.eigvalsh(A))
+    assert np.all(np.diff(got) >= 0.0)
+    bound = EIGENVALUE_ROUTE_C * M.dim.d * np.finfo(float).eps * np.linalg.norm(A)
+    assert np.max(np.abs(got - dec.eigenvalues)) <= bound
     assert np.array_equal(dec.eigenvalues, vals)
     assert np.array_equal(dec.columns, columns)
     assert dec.columns.flags.c_contiguous
 
 
 class TestEigenvaluesOnly:
-    """hermitian_eigenvalues returns the eigenvalues of eigendecompose_hermitian
-    bit for bit, whose columns equal the one-column-at-a-time phase loop;
-    the Jacobi oracle agrees with both within its tolerances."""
+    """hermitian_eigenvalues returns LAPACK's values-only eigenvalues of the
+    symmetrized copy bit for bit, ascending and within 2 d u ||A||_F of those
+    of eigendecompose_hermitian, whose columns equal the one-column-at-a-time
+    phase loop; the Jacobi oracle agrees with both within its tolerances."""
 
     @pytest.mark.parametrize(
         "reference",
@@ -737,6 +764,7 @@ class TestEigenvaluesOnly:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceError, match="^LAPACK eigh did not converge: Eigenvalues"):
             solve(LinearOperator.diagonal(d3, [1.0, 2.0, 3.0]))
 

@@ -7,6 +7,7 @@ from finosc import checks, oscillators
 from finosc.gaussians import Family, gaussian, normalized_gaussian
 from finosc.grid import (
     GridDim,
+    InputError,
     LinearOperator,
     eigendecompose_hermitian,
     fourier_operator,
@@ -20,6 +21,7 @@ from finosc.oscillators import (
     detect_revivals,
     difference_momentum_squared,
     evolve,
+    evolve_spectral,
     fourier_hamiltonian,
     fractional_fourier,
     frame_hamiltonian,
@@ -426,6 +428,35 @@ class TestEvolution:
         out = evolve(osc.operator, G, t)
         expected = np.exp(-0.5j * t) * G.values
         assert np.max(np.abs(out.values - expected)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["harper", "kravchuk", "fourier"])
+    @pytest.mark.parametrize("d", [3, 37, 101])
+    def test_array_of_times_equals_each_scalar_call(self, d, kind):
+        # the revival command's 200 samples from 0 to twice the longest period
+        dim = GridDim.from_size(d)
+        dec = eigendecompose_hermitian(hamiltonian(dim, kind))
+        runs = detect_revivals(dec).progressions
+        horizon = 2.0 * max(runs, key=lambda p: p.length).period if runs else 4.0 * math.pi
+        ts = np.linspace(0.0, horizon, 200)
+        psi = rand_state(dim, d, normalize=True)
+        rows = evolve_spectral(dec, psi, ts)
+        assert len(rows) == 200 and ts[0] == 0.0 and ts[-1] == horizon
+        for t, row in zip(ts, rows):
+            assert np.array_equal(row.values, evolve_spectral(dec, psi, float(t)).values)
+            assert row.dim == dim and not row.values.flags.writeable
+
+    def test_sequence_and_empty_times(self, d7):
+        dec = eigendecompose_hermitian(harper_hamiltonian(d7))
+        psi = rand_state(d7, 4)
+        rows = evolve_spectral(dec, psi, [0.0, 1.5])
+        assert np.array_equal(rows[1].values, evolve_spectral(dec, psi, 1.5).values)
+        assert evolve_spectral(dec, psi, np.array([])) == ()
+
+    def test_two_dimensional_times_are_refused_by_name(self, d7):
+        dec = eigendecompose_hermitian(harper_hamiltonian(d7))
+        message = r"^times must be one value or a 1-D array, got shape \(2, 3\)$"
+        with pytest.raises(InputError, match=message):
+            evolve_spectral(dec, rand_state(d7, 4), np.zeros((2, 3)))
 
 
 class TestRevivalDetection:
