@@ -32,8 +32,8 @@ from .grid import (
     LinearOperator,
     hermitian_eigenvalues,
 )
-from .grid import _adopt, _assign, _check_integer, _check_tolerance, _phase, _readonly_copy, _same_dim
-from .grid import _stack, _views
+from .grid import _adopt, _assign, _check_integer, _check_tolerance, _circulant, _phase, _readonly_copy
+from .grid import _same_dim, _stack, _views
 
 __all__ = [
     "schwinger",
@@ -276,8 +276,7 @@ def _walnut_diagonal(family: CoherentFamily) -> np.ndarray:
     (1/d) sum_{alpha,beta} |alpha,beta><alpha,beta| of the scaled family is
     diag(s), because the sum over beta of e^{2 pi i beta (m - n)/d} cancels
     every entry off the diagonal (Walnut's representation)."""
-    j, d, n = family.dim.j, family.dim.d, family.dim.indices()
-    return (np.abs(family.fiducial.values) ** 2)[(n[:, None] - n + j) % d].sum(axis=1)
+    return _circulant(np.abs(family.fiducial.values) ** 2).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import cmath
 import math
 import numbers
 import operator
@@ -334,14 +335,18 @@ def parity_operator(dim: GridDim) -> LinearOperator:
     return _adopt(LinearOperator, dim, m)
 
 
+def _circulant(values: np.ndarray) -> np.ndarray:
+    """The circulant [n + j, m + j] = c(n - m), n - m taken mod d, of the
+    values c(-j), ..., c(j) in index order."""
+    d = len(values)
+    i = np.arange(d)
+    return values[(i[:, None] - i + d // 2) % d]
+
+
 def convolve(phi: GridFunction, psi: GridFunction) -> GridFunction:
     """Cyclic convolution (phi * psi)(n) = sum_m phi(m) psi(n - m), indices mod d."""
     _same_dim(phi, psi)
-    d, j = phi.dim.d, phi.dim.j
-    i = np.arange(d)
-    # shifted[i_n, i_m] = psi(n - m) in storage indices (value n <-> index n + j)
-    shifted = psi.values[(i[:, None] - i[None, :] + j) % d]
-    return _adopt(GridFunction, phi.dim, shifted @ phi.values)
+    return _adopt(GridFunction, phi.dim, _circulant(psi.values) @ phi.values)
 
 
 class _SeededDraws:
@@ -396,17 +401,31 @@ class SpectralDecomposition:
     ``vector(k)`` are read-only GridFunction views of it.  The constructor
     takes the eigenvectors as GridFunctions or as such a d x d array.
     ``residual`` is max_k ||A v_k - lambda_k v_k|| / ||A||_F for the operator
-    A that was decomposed (NaN when not computed).
+    A that was decomposed (NaN when not given to the constructor); for a
+    decomposition ``eigendecompose_hermitian`` made, it is computed on first
+    read, a d^3 product that a caller who never reads it does not pay.
     """
 
     dim: GridDim
     eigenvalues: np.ndarray
     columns: np.ndarray
-    residual: float = float("nan")
+    # the residual, or the decomposed operator until the residual is first read
+    _residual: float | LinearOperator = float("nan")
 
     def __init__(self, dim, eigenvalues, eigenvectors, residual=float("nan")):
         columns = _readonly_copy(_stack(eigenvectors, 1), complex, (dim.d, dim.d))
         _assign(self, (dim, np.array(eigenvalues, dtype=float), columns, float(residual)))
+
+    @property
+    def residual(self) -> float:
+        # read once: threads that race here compute the same bits
+        value = self._residual
+        if isinstance(value, LinearOperator):
+            A, norm = _hermitian_working_copy(value)
+            V = self.columns
+            value = float(np.max(np.linalg.norm(A @ V - V * self.eigenvalues, axis=0))) / norm
+            object.__setattr__(self, "_residual", value)
+        return value
 
     @property
     def eigenvectors(self) -> tuple[GridFunction, ...]:
@@ -507,16 +526,18 @@ def eigendecompose_hermitian(M: LinearOperator) -> SpectralDecomposition:
             start = k
 
     V = np.ascontiguousarray(canonical_phase(V))
-    residual = float(np.max(np.linalg.norm(A @ V - V * vals, axis=0))) / norm
-    return _adopt(SpectralDecomposition, dim, vals, V, residual)
+    return _adopt(SpectralDecomposition, dim, vals, V, M)
 
 
 def operator_exponential(M: LinearOperator, scale: complex) -> LinearOperator:
     """exp(scale * M) for Hermitian M, via ``eigendecompose_hermitian``,
     with its errors.
 
-    Unitary whenever ``scale`` is purely imaginary.
+    Unitary whenever ``scale`` is purely imaginary.  A ``scale`` with a NaN
+    or infinite part raises ``InputError``.
     """
+    if not cmath.isfinite(scale):
+        raise InputError(f"exponential scale must be finite, got {scale}")
     dec = eigendecompose_hermitian(M)
     V = dec.columns
     return _adopt(LinearOperator, M.dim, (V * np.exp(scale * dec.eigenvalues)) @ V.conj().T)

@@ -30,7 +30,8 @@ from .grid import (
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _lapack, _readonly_copy, _stack, _views
+from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _circulant, _lapack, _phase, _readonly_copy
+from .grid import _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -85,17 +86,32 @@ def _symmetrized(op: LinearOperator) -> LinearOperator:
 
 
 def fourier_hamiltonian(dim: GridDim) -> LinearOperator:
-    """H = (1/2) F^+ Q^2 F + (1/2) Q^2; commutes with F."""
-    F = fourier_operator(dim)
-    Q2 = position_squared(dim)
-    return _symmetrized(0.5 * (F.adjoint() @ Q2 @ F) + 0.5 * Q2)
+    """H = (1/2) F^+ Q^2 F + (1/2) Q^2; commutes with F.
+
+    F^+ Q^2 F is the real circulant C[n, m] = c(n - m) with
+    c(r) = (1/d) sum_m m^2 cos(2 pi m r/d), which sums to
+    c(r) = (-1)^r cos(pi r/d) / (2 sin^2(pi r/d)) for r = -j..j other than 0,
+    and c(0) = j(j+1)/3.  The cosine and sine are read off the root table
+    e^{i pi r/d}, whose values at r and -r are exact conjugates, so c is
+    exactly even and H is exactly real, symmetric and parity-invariant.
+    """
+    j, n = dim.j, dim.indices()
+    root = _phase(dim.d, n)
+    sine = np.where(n == 0, 1.0, root.imag)
+    c = np.where(n == 0, j * (j + 1) / 3.0, (-1.0) ** n * root.real / (2.0 * sine**2))
+    H = _circulant(0.5 * c) + np.diag(0.5 * n**2)
+    return _adopt(LinearOperator, dim, H.astype(complex))
 
 
 def harper_hamiltonian(dim: GridDim) -> LinearOperator:
-    """H = (1/2) P^2 + (1/2) F P^2 F^+ with the second-difference P^2."""
-    F = fourier_operator(dim)
-    P2 = difference_momentum_squared(dim)
-    return _symmetrized(0.5 * P2 + 0.5 * (F @ P2 @ F.adjoint()))
+    """H = (1/2) P^2 + (1/2) F P^2 F^+ with the second-difference P^2.
+
+    F P^2 F^+ is exactly diag(2 - 2 cos 2 pi n/d) (Candan, Kutay & Ozaktas,
+    IEEE TSP 48, 2000), with the cosine read off the root table, which is
+    exactly even in n; H is exactly real, symmetric and parity-invariant.
+    """
+    clock = 1.0 - _phase(dim.d, 2 * dim.indices()).real
+    return 0.5 * difference_momentum_squared(dim) + LinearOperator.diagonal(dim, clock)
 
 
 def kravchuk_hamiltonian(dim: GridDim) -> LinearOperator:
@@ -393,21 +409,25 @@ def evolve_spectral(
     formed once.  Row s equals the call at ``float(t[s])`` bit for bit:
     numpy's stacked matmul solves each row by the one matrix-vector product
     the scalar call makes, where a single (S, d) x (d, d) product would round
-    differently.  Any other shape of ``t`` raises ``InputError``."""
+    differently.  Any other shape of ``t``, or a NaN or infinite time, raises
+    ``InputError``."""
+    if np.ndim(t) > 1:
+        raise InputError(f"times must be one value or a 1-D array, got shape {np.shape(t)}")
+    finite = np.isfinite(t)
+    if not np.all(finite):
+        raise InputError(f"evolution time t must be finite, got {np.asarray(t)[~finite][0]}")
     V = dec.columns
     coeff = V.conj().T @ psi.values
     if np.ndim(t) == 0:
         return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise InputError(f"times must be one value or a 1-D array, got shape {t.shape}")
     rows = np.exp(-1j * t[:, None] * dec.eigenvalues) * coeff
     return _views(dec.dim, (V @ rows[:, :, None])[:, :, 0])
 
 
 def evolve(H: LinearOperator, psi: GridFunction, t: float) -> GridFunction:
     """e^{-i t H} psi for Hermitian H, by ``eigendecompose_hermitian``;
-    preserves the norm."""
+    preserves the norm.  A NaN or infinite ``t`` raises ``InputError``."""
     return evolve_spectral(eigendecompose_hermitian(H), psi, t)
 
 

@@ -24,7 +24,7 @@ from finosc.frames import (
     quantize,
     schwinger,
 )
-from finosc.gaussians import Family
+from finosc.gaussians import Family, normalized_gaussian
 from finosc.oscillators import _symmetrized, frame_hamiltonian
 from finosc.grid import (
     GridDim,
@@ -892,6 +892,32 @@ class TestIntegerSymbolLabels:
         for family in Family:
             expected = _symmetrized(quantize(coherent_family(dim, family), int64_harmonic))
             assert np.array_equal(frame_hamiltonian(dim, family).matrix, expected.matrix)
+
+
+class TestFrameHamiltonianClosedForm:
+    """H_i = (1/d) sum_{a,b} (a^2 + b^2)/2 |a,b><a,b| read off its definition:
+    the sum over b of e^{2 pi i b (n - m)/d} leaves diag(1/2 sum_a a^2
+    |G(n - a)|^2) from a^2, and from b^2 the circulant 1/2 c(n - m) r(n - m),
+    with c(k) = (1/d) sum_b b^2 cos(2 pi b k/d) and the cyclic autocorrelation
+    r(k) = sum_u G(u) G*(u - k).  This shares no code with ``quantize``."""
+
+    @pytest.mark.parametrize("d", [5, 31, 101])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_the_defining_sums(self, d, family):
+        dim = GridDim.from_size(d)
+        j, n = dim.j, dim.indices()
+        G = normalized_gaussian(dim, family).values
+        lag = (n[:, None] - n + j) % d  # storage index of n - m
+        diagonal = 0.5 * (np.abs(G[lag]) ** 2 @ n.astype(float) ** 2)
+        c = (n.astype(float) ** 2 @ np.cos(2 * np.pi * (np.outer(n, n) % d) / d)) / d
+        r = np.array([np.vdot(G[(n - k + j) % d], G) for k in n])
+        expected = np.diag(diagonal) + 0.5 * (c * r)[lag]
+        # Both routes round length-d sums (quantize's product and FFT
+        # convolution, the oracle's plain sums) whose absolute terms add up to
+        # at most max f = j^2, by Cauchy-Schwarz with ||G|| = 1; 4 gamma_d j^2,
+        # gamma_d = d 2^-53, covers the two.
+        bound = 4 * d * 2.0**-53 * j**2
+        assert np.max(np.abs(frame_hamiltonian(dim, family).matrix - expected)) <= bound
 
 
 def weyl_scatter(dim, alpha, beta):

@@ -524,6 +524,25 @@ class TestEigendecomposition:
         dec = SpectralDecomposition(d3, np.zeros(3), tuple(GridFunction.zero(d3) for _ in range(3)))
         assert math.isnan(dec.residual)
 
+    def test_constructor_keeps_a_given_residual(self, d3):
+        dec = SpectralDecomposition(d3, np.zeros(3), np.eye(3), residual=2.5e-16)
+        assert dec.residual == 2.5e-16
+
+    def test_residual_is_formed_on_first_read_only(self, d7, monkeypatch):
+        # the solve forms no A V - V Lambda; the first read forms it once from
+        # the same working copy, so it is the value an eager solve would store
+        M = random_hermitian(d7, 3)
+        calls = []
+        working_copy = grid._hermitian_working_copy
+        monkeypatch.setattr(grid, "_hermitian_working_copy", lambda op: calls.append(op) or working_copy(op))
+        dec = eigendecompose_hermitian(M)
+        assert len(calls) == 1
+        A = (M.matrix + M.matrix.conj().T) / 2.0
+        V = dec.columns
+        eager = float(np.max(np.linalg.norm(A @ V - V * dec.eigenvalues, axis=0))) / float(np.linalg.norm(A))
+        assert dec.residual == eager and dec.residual == eager
+        assert len(calls) == 2
+
 
 # --- the reference implementations: the cyclic Jacobi loop, an eigensolver
 # that shares no code with LAPACK, and the eigenvector convention built one
@@ -803,6 +822,11 @@ class TestOnePassCanonicalPhase:
 
 
 class TestOperatorExponential:
+    @pytest.mark.parametrize("scale", [math.nan, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0)])
+    def test_non_finite_scale_is_refused_by_name(self, d3, scale):
+        with pytest.raises(InputError, match="^exponential scale must be finite, got "):
+            operator_exponential(LinearOperator.identity(d3), scale)
+
     def test_zero_matrix_gives_identity(self, d3):
         U = operator_exponential(LinearOperator(d3, np.zeros((3, 3))), 1.0)
         assert np.max(np.abs(U.matrix - np.eye(3))) < 1e-14

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from finosc.grid import (
     eigendecompose_hermitian,
     fourier_operator,
     inner_product,
+    parity_operator,
 )
 from finosc.kravchuk import kravchuk_table, su2_generators
 from finosc.oscillators import (
@@ -32,8 +34,10 @@ from finosc.oscillators import (
     kravchuk_functions_via_orthonormalization,
     kravchuk_hamiltonian,
     orthonormal_functions_for_weight,
+    position_squared,
     sign_alternations,
 )
+from finosc.oscillators import _symmetrized
 from conftest import rand_state
 
 S3 = 1 / math.sqrt(3)
@@ -129,6 +133,79 @@ class TestStructure:
             hamiltonian(d3, "nonsense")
         with pytest.raises(ValueError):
             hamiltonian(d3, "deformed-fourier")
+
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def product_forms(dim):
+    """The Fourier and Harper Hamiltonians as the conjugations that define
+    them, by dense complex products, as they were built before the closed
+    forms."""
+    F = fourier_operator(dim)
+    Q2, P2 = position_squared(dim), difference_momentum_squared(dim)
+    fourier = _symmetrized(0.5 * (F.adjoint() @ Q2 @ F) + 0.5 * Q2)
+    harper = _symmetrized(0.5 * P2 + 0.5 * (F @ P2 @ F.adjoint()))
+    return fourier, harper
+
+
+def circulant_reference(d):
+    """c(r) = (1/d) sum_m m^2 cos(2 pi m r/d) for r = -j..j, summed in 30-digit
+    mpmath over the exact residues m r mod d."""
+    j = (d - 1) // 2
+    with mpmath.workdps(30):
+        cos = [mpmath.cos(2 * mpmath.pi * k / d) for k in range(d)]
+        half = [2 * mpmath.fsum(m * m * cos[m * r % d] for m in range(1, j + 1)) / d for r in range(j + 1)]
+    return np.array([float(half[abs(r)]) for r in range(-j, j + 1)])
+
+
+class TestClosedForms:
+    """F^+ Q^2 F is the real circulant c(n - m) and F P^2 F^+ is
+    diag(2 - 2 cos 2 pi n/d); both Hamiltonians are built from these forms."""
+
+    @pytest.mark.parametrize("d", [3, 15, 101, 401])
+    def test_match_the_product_forms(self, d):
+        # Each product rounds length-d complex inner products whose absolute
+        # terms sum to at most S = max_n (1/d) sum_m m^2 = c(0) = j(j+1)/3
+        # (Fourier) or 4 (Harper): at most sqrt(2) gamma_{d+2} S, plus about
+        # 5u S from the rounded entries of F.  Halved, and with the closed
+        # forms' own rounding (below 10u S), that stays under 8 gamma_d S for
+        # every d >= 3, gamma_d = d u.
+        dim = GridDim.from_size(d)
+        gamma = d * U
+        fourier, harper = product_forms(dim)
+        assert op_err(fourier_hamiltonian(dim), fourier) <= 8 * gamma * dim.j * (dim.j + 1) / 3
+        assert op_err(harper_hamiltonian(dim), harper) <= 8 * gamma * 4
+
+    @pytest.mark.parametrize("d", [3, 15, 101, 401])
+    def test_circulant_matches_mpmath(self, d):
+        # c(r) = (-1)^r cos x / (2 sin^2 x), x = pi r/d: the cosine errs by at
+        # most about 5u absolutely and 1/(2 sin^2 x) <= d^2/8 < 1.7 c(0); the
+        # sine, the square and the division add about 11u relatively, and
+        # |c(r)| <= c(0), so c errs by less than 32 u c(0).
+        dim = GridDim.from_size(d)
+        # row n = 0 of 2H is c(-m) + 0 m^2, and c is even
+        c = 2.0 * fourier_hamiltonian(dim).matrix[dim.j].real
+        ref = circulant_reference(d)
+        assert np.max(np.abs(c - ref)) <= 32 * U * ref[dim.j]
+
+    @pytest.mark.parametrize("d", [3, 5, 15, 101, 401])
+    @pytest.mark.parametrize("build", [fourier_hamiltonian, harper_hamiltonian])
+    def test_exactly_real_symmetric_and_parity_invariant(self, d, build):
+        dim = GridDim.from_size(d)
+        H, P = build(dim), parity_operator(dim)
+        assert np.all(H.matrix.imag == 0.0)
+        assert np.array_equal(H.matrix, H.matrix.T)
+        assert np.array_equal((P @ H).matrix, (H @ P).matrix)
+
+    def test_harper_is_periodic_tridiagonal(self, d7):
+        # 1/2 P^2 + diag(1 - cos 2 pi n/d): 2 - cos 2 pi n/d on the diagonal,
+        # -1/2 beside it and in the corners
+        n = d7.indices()
+        H = harper_hamiltonian(d7).matrix.real
+        off = H - np.diag(np.diag(H))
+        assert np.max(np.abs(np.diag(H) - (2.0 - np.cos(2 * np.pi * n / d7.d)))) <= 4 * U
+        assert np.array_equal(off, -0.5 * (np.roll(np.eye(7), 1, 0) + np.roll(np.eye(7), -1, 0)))
 
 
 class TestSignAlternations:
@@ -457,6 +534,19 @@ class TestEvolution:
         message = r"^times must be one value or a 1-D array, got shape \(2, 3\)$"
         with pytest.raises(InputError, match=message):
             evolve_spectral(dec, rand_state(d7, 4), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "t", [math.nan, math.inf, -math.inf, np.array([0.0, 1.5, math.nan]), [1.0, -math.inf]]
+    )
+    def test_non_finite_times_are_refused_by_name(self, d7, t):
+        dec = eigendecompose_hermitian(harper_hamiltonian(d7))
+        with pytest.raises(InputError, match="^evolution time t must be finite, got (nan|inf|-inf)$"):
+            evolve_spectral(dec, rand_state(d7, 4), t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_evolve_refuses_a_non_finite_time(self, d7, t):
+        with pytest.raises(InputError, match="^evolution time t must be finite"):
+            evolve(harper_hamiltonian(d7), rand_state(d7, 4), t)
 
 
 class TestRevivalDetection:
