@@ -191,10 +191,14 @@ def kravchuk_transform(dim: GridDim) -> LinearOperator:
 
 
 def generalized_kravchuk_transform(dim: GridDim, phases) -> LinearOperator:
-    """K with an extra unit phase e^{i alpha_n} per column; still maps J_z to J_x."""
+    """K with an extra unit phase e^{i alpha_n} per column; still maps J_z to J_x.
+    A NaN or infinite phase raises ``InputError``."""
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (dim.d,):
         raise ValueError(f"expected {dim.d} phases, got shape {phases.shape}")
+    finite = np.isfinite(phases)
+    if not np.all(finite):
+        raise InputError(f"Kravchuk phases must be finite, got {phases[~finite][0]}")
     return _adopt(
         LinearOperator, dim, kravchuk_transform(dim).matrix * np.exp(1j * phases)[None, :]
     )

@@ -30,8 +30,8 @@ from .grid import (
     eigendecompose_hermitian,
     fourier_operator,
 )
-from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_tolerance, _circulant, _lapack, _phase, _readonly_copy
-from .grid import _stack, _views
+from .grid import _DEGENERACY_GAP, _adopt, _assign, _check_integer, _check_tolerance, _circulant, _lapack, _phase
+from .grid import _readonly_copy, _same_dim, _stack, _views
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -77,8 +77,10 @@ def position_squared(dim: GridDim) -> LinearOperator:
 
 
 def difference_momentum_squared(dim: GridDim) -> LinearOperator:
-    """The periodic second-difference operator (P^2 psi)(n) = -[psi(n+1) - 2 psi(n) + psi(n-1)]."""
-    return 2.0 * LinearOperator.identity(dim) - schwinger(dim, "A", -1) - schwinger(dim, "A", 1)
+    """The periodic second-difference operator (P^2 psi)(n) = -[psi(n+1) - 2 psi(n) + psi(n-1)],
+    2 I - A^{-1} - A with the cyclic shift A, a permutation, so A^{-1} = A^T."""
+    A = schwinger(dim, "A", 1).matrix
+    return _adopt(LinearOperator, dim, 2.0 * np.eye(dim.d) - A.T - A)
 
 
 def _symmetrized(op: LinearOperator) -> LinearOperator:
@@ -169,6 +171,8 @@ _KINDS = tuple(_BUILDERS)
 def _check_kind(kind: str, family: Family | int | None, alpha: float | None) -> str:
     """The lower-cased kind, once it is known and given what it needs: a
     family for frame/gramschmidt, an alpha in (0, 2) for the deformed kinds."""
+    if not isinstance(kind, str):
+        raise InputError(f"unknown oscillator kind {kind!r}")
     kind = kind.lower()
     if kind not in _BUILDERS:
         raise InputError(f"unknown oscillator kind {kind!r}")
@@ -406,28 +410,31 @@ def evolve_spectral(
 
     ``t`` is one time, giving a GridFunction, or a 1-D array of S times,
     giving a tuple of S GridFunction views of one (S, d) array; V^H psi is
-    formed once.  Row s equals the call at ``float(t[s])`` bit for bit:
-    numpy's stacked matmul solves each row by the one matrix-vector product
-    the scalar call makes, where a single (S, d) x (d, d) product would round
-    differently.  Any other shape of ``t``, or a NaN or infinite time, raises
-    ``InputError``."""
-    if np.ndim(t) > 1:
-        raise InputError(f"times must be one value or a 1-D array, got shape {np.shape(t)}")
+    formed once.  One time and many take one path: numpy's stacked matmul
+    solves each row by its own matrix-vector product, so row s equals the
+    call at ``t[s]`` bit for bit, where a single (S, d) x (d, d) product
+    would round differently.  ``t`` must hold integers or floats, be at most
+    1-D and be finite, and ``psi`` must be on the decomposition's grid;
+    anything else raises ``InputError`` before any product."""
+    t = np.asarray(t)
+    if t.ndim > 1:
+        raise InputError(f"times must be one value or a 1-D array, got shape {t.shape}")
+    if t.dtype.kind not in "iuf":
+        raise InputError(f"evolution time t must be an integer or float, got dtype {t.dtype}")
     finite = np.isfinite(t)
     if not np.all(finite):
-        raise InputError(f"evolution time t must be finite, got {np.asarray(t)[~finite][0]}")
+        raise InputError(f"evolution time t must be finite, got {t[~finite][0]}")
+    _same_dim(dec, psi)
     V = dec.columns
-    coeff = V.conj().T @ psi.values
-    if np.ndim(t) == 0:
-        return _adopt(GridFunction, dec.dim, V @ (np.exp(-1j * t * dec.eigenvalues) * coeff))
-    t = np.asarray(t, dtype=float)
-    rows = np.exp(-1j * t[:, None] * dec.eigenvalues) * coeff
-    return _views(dec.dim, (V @ rows[:, :, None])[:, :, 0])
+    rows = np.exp(-1j * t[..., None] * dec.eigenvalues) * (V.conj().T @ psi.values)
+    states = (V @ rows[..., None])[..., 0]
+    return _adopt(GridFunction, dec.dim, states) if states.ndim == 1 else _views(dec.dim, states)
 
 
 def evolve(H: LinearOperator, psi: GridFunction, t: float) -> GridFunction:
-    """e^{-i t H} psi for Hermitian H, by ``eigendecompose_hermitian``;
-    preserves the norm.  A NaN or infinite ``t`` raises ``InputError``."""
+    """e^{-i t H} psi for Hermitian H, by ``eigendecompose_hermitian`` and
+    ``evolve_spectral``, whose checks of ``t`` and ``psi`` it shares;
+    preserves the norm."""
     return evolve_spectral(eigendecompose_hermitian(H), psi, t)
 
 
@@ -450,9 +457,12 @@ class RevivalReport:
         return any(p.length == d for p in self.progressions)
 
 
-def _check_min_len(min_len: int) -> None:
+def _check_min_len(min_len: int) -> int:
+    """``min_len`` as an int, once it is an integer of at least 3."""
+    min_len = _check_integer("min_len", min_len)
     if min_len < 3:
         raise InputError(f"min_len must be at least 3, got {min_len}")
+    return min_len
 
 
 def detect_revivals(
@@ -461,7 +471,7 @@ def detect_revivals(
     """Find all maximal runs of >= min_len consecutive eigenvalues with a
     common gap (within tol); each run carries the revival period 2 pi / gap."""
     _check_tolerance(tol)
-    _check_min_len(min_len)
+    min_len = _check_min_len(min_len)
     e = dec.eigenvalues
     found = []
     i = 0

@@ -362,6 +362,12 @@ class TestGeneralizedTransform:
         with pytest.raises(ValueError):
             generalized_kravchuk_transform(d7, np.zeros(d7.d - 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phases_are_refused_by_name(self, bad):
+        phases = [0.0, 1.0, bad, 2.0, bad]
+        with pytest.raises(InputError, match=f"^Kravchuk phases must be finite, got {bad}$"):
+            generalized_kravchuk_transform(GridDim.from_size(5), phases)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_any_phases_conjugate_jz_to_jx(self, seed):

@@ -1,13 +1,17 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from finosc import checks, oscillators
+from finosc.frames import schwinger
 from finosc.gaussians import Family, gaussian, normalized_gaussian
 from finosc.grid import (
     GridDim,
+    GridFunction,
     InputError,
     LinearOperator,
     eigendecompose_hermitian,
@@ -81,6 +85,13 @@ class TestStructure:
             ref[i, (i + 1) % d] -= 1.0
             ref[i, (i - 1) % d] -= 1.0
         assert np.array_equal(difference_momentum_squared(GridDim.from_size(d)).matrix, ref)
+
+    @pytest.mark.parametrize("d", [3, 5, 15, 101, 401])
+    def test_second_difference_equals_the_two_weyl_power_form(self, d):
+        # the former build, 2 I - A^{-1} - A from two dense Weyl powers
+        dim = GridDim.from_size(d)
+        weyl = 2.0 * LinearOperator.identity(dim) - schwinger(dim, "A", -1) - schwinger(dim, "A", 1)
+        assert difference_momentum_squared(dim).matrix.tobytes() == weyl.matrix.tobytes()
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_hermitian_all_kinds(self, d):
@@ -388,6 +399,16 @@ class TestDeformed:
             deformed_harper_hamiltonian(d7, alpha)
 
 
+class TestKindDispatch:
+    @pytest.mark.parametrize("kind, shown", [(3, "3"), (None, "None"), ("Lattice", "'lattice'")])
+    def test_unknown_kinds_are_refused_by_name(self, d7, kind, shown):
+        with pytest.raises(InputError, match=f"^unknown oscillator kind {shown}$"):
+            hamiltonian(d7, kind)
+
+    def test_kind_is_read_case_blind(self, d7):
+        assert np.array_equal(hamiltonian(d7, "Harper").matrix, harper_hamiltonian(d7).matrix)
+
+
 class TestGramSchmidt:
     def test_ground_state_eigenvalue(self, d15):
         osc = gram_schmidt_oscillator(d15, Family.G1)
@@ -549,6 +570,59 @@ class TestEvolution:
             evolve(harper_hamiltonian(d7), rand_state(d7, 4), t)
 
 
+def two_branch_evolve(dec, psi, t):
+    """The former evolve_spectral: a scalar branch with one matrix-vector
+    product and a stacked branch over a float cast of the times."""
+    V = dec.columns
+    coeff = V.conj().T @ psi.values
+    if np.ndim(t) == 0:
+        return V @ (np.exp(-1j * t * dec.eigenvalues) * coeff)
+    t = np.asarray(t, dtype=float)
+    rows = np.exp(-1j * t[:, None] * dec.eigenvalues) * coeff
+    return (V @ rows[:, :, None])[:, :, 0]
+
+
+class TestOneEvolutionPath:
+    TIMES = [0.0, 0.37, 5.1, 123.4, 3, [0.0, 1.5, 2], np.linspace(-7.0, 40.0, 7), np.array([])]
+
+    @pytest.mark.parametrize("kind", ["harper", "kravchuk"])
+    @pytest.mark.parametrize("d", [3, 15, 101, 401])
+    def test_bit_equal_to_the_two_branch_form(self, d, kind):
+        dim = GridDim.from_size(d)
+        dec = eigendecompose_hermitian(hamiltonian(dim, kind))
+        psi = rand_state(dim, d)
+        for t in self.TIMES:
+            got, want = evolve_spectral(dec, psi, t), two_branch_evolve(dec, psi, t)
+            if np.ndim(t) == 0:
+                assert isinstance(got, GridFunction) and got.dim == dim
+                assert got.values.tobytes() == want.tobytes()
+            else:
+                assert isinstance(got, tuple) and len(got) == len(want)
+                assert all(row.values.tobytes() == w.tobytes() for row, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "t, dtype",
+        [(1j, "complex128"), (np.array([0.5, 2j]), "complex128"), ("1.5", "<U3"), (True, "bool")],
+        ids=["complex", "complex-entry", "string", "boolean"],
+    )
+    def test_times_that_are_not_real_numbers_are_refused_by_name(self, d7, t, dtype):
+        dec = eigendecompose_hermitian(harper_hamiltonian(d7))
+        message = f"^evolution time t must be an integer or float, got dtype {re.escape(dtype)}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=message):
+                evolve_spectral(dec, rand_state(d7, 4), t)
+            with pytest.raises(InputError, match=message):
+                evolve(harper_hamiltonian(d7), rand_state(d7, 4), t)
+
+    def test_a_state_of_another_dimension_is_refused_by_name(self, d7):
+        dec = eigendecompose_hermitian(harper_hamiltonian(d7))
+        psi = rand_state(GridDim.from_size(5), 4)
+        for t in (1.0, [1.0, 2.0]):
+            with pytest.raises(InputError, match="^dimension mismatch: d=7 vs d=5$"):
+                evolve_spectral(dec, psi, t)
+
+
 class TestRevivalDetection:
     def test_equispaced_ladder(self, d7):
         dec = eigendecompose_hermitian(kravchuk_hamiltonian(d7))
@@ -582,6 +656,17 @@ class TestRevivalDetection:
             detect_revivals(dec, min_len=3, tol=0.0)
         with pytest.raises(ValueError):
             detect_revivals(dec, min_len=2, tol=1e-8)
+
+    def test_fractional_min_len_is_refused_by_name(self, d3):
+        dec = eigendecompose_hermitian(kravchuk_hamiltonian(d3))
+        with pytest.raises(InputError, match="^min_len must be an integer, got 3.5$"):
+            detect_revivals(dec, min_len=3.5)
+
+    def test_integral_float_min_len_is_read_as_an_int(self, d7):
+        levels = [0.0, 1.0, 2.0, 3.0, 10.0, 20.0, 21.5]
+        dec = eigendecompose_hermitian(LinearOperator.diagonal(d7, levels))
+        assert detect_revivals(dec, min_len=4.0) == detect_revivals(dec, min_len=4)
+        assert detect_revivals(dec, min_len=5.0).progressions == ()
 
 
 def _covariance_result(dim):
